@@ -54,7 +54,8 @@ def main():
     print(header)
     print("-" * len(header))
     for club in Club:
-        required = ",".join(sorted(finord.required_properties(club))) or "(none)"
+        req = finord.required_properties(club)
+        required = ",".join(sorted(p for p, need in zip(req._fields, req) if need)) or "(none)"
         longest, total, kinds = chain_stats(members[club], club)
         print(
             f"{club.display:6} {required:30} {minimal.get(club, 0):>8} "

@@ -7,7 +7,7 @@ polynomial to a closed combinator term over that club's basis drawn from
 
 from . import comb, compiler, errors, finord, poly
 from .comb import normalize, parse_comb, verify
-from .compiler import CompileReport, compile, compile_with_constants
+from .compiler import CompileReport, compile
 from .finord import Club, FinFun, Generator, factor, minimal_club, parse_finfun
 from .poly import Sequent, parse
 
@@ -22,7 +22,6 @@ __all__ = [
     "verify",
     "CompileReport",
     "compile",
-    "compile_with_constants",
     "Club",
     "FinFun",
     "Generator",

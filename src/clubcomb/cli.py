@@ -77,28 +77,36 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+_FLAGS = {
+    "--club": dict(choices=_CLUB_NAMES, default=None,
+                   help="work in this club instead of the minimal one"),
+    "--no-verify": dict(action="store_true", help="skip verification of compiled terms"),
+    "--fuel": dict(type=int, default=comb.DEFAULT_FUEL,
+                   help="reduction step budget (default %(default)s)"),
+    "--json": dict(action="store_true", help="emit one JSON object"),
+    "--constants": dict(action="store_true",
+                        help="treat undeclared identifiers as constants"),
+}
+
+_SUBCOMMANDS = {
+    "analyze": ("print the usage decomposition and minimal club of a polynomial",
+                ("--json", "--constants")),
+    "compile": ("compile a polynomial to a combinator term over a club's basis",
+                ("--club", "--no-verify", "--fuel", "--json", "--constants")),
+    "eval": ("reduce a combinator term to normal form", ("--fuel", "--json")),
+    "factor": ("factor a finite function into club generators", ("--club", "--json")),
+    "diagram": ("draw a finite function as dots and lines", ("--json",)),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="clubcomb", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "analyze": "print the usage decomposition and minimal club of a polynomial",
-        "compile": "compile a polynomial to a combinator term over a club's basis",
-        "eval": "reduce a combinator term to normal form",
-        "factor": "factor a finite function into club generators",
-        "diagram": "draw a finite function as dots and lines",
-    }
-    for name, help_text in specs.items():
+    for name, (help_text, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("input", help="the input string")
-        p.add_argument("--club", choices=_CLUB_NAMES, default=None,
-                       help="work in this club instead of the minimal one")
-        p.add_argument("--no-verify", action="store_true",
-                       help="skip verification of compiled terms")
-        p.add_argument("--fuel", type=int, default=comb.DEFAULT_FUEL,
-                       help="reduction step budget (default %(default)s)")
-        p.add_argument("--json", action="store_true", help="emit one JSON object")
-        p.add_argument("--constants", action="store_true",
-                       help="treat undeclared identifiers as constants")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -160,14 +168,8 @@ def _cmd_analyze(ns) -> int:
 def _cmd_compile(ns) -> int:
     club = Club(ns.club) if ns.club else None
     verify = not ns.no_verify
-    if ns.constants:
-        s, constants = poly.parse_with_constants(ns.input)
-        report = compiler.compile_with_constants(
-            s, constants, club=club, verify=verify, fuel=ns.fuel
-        )
-    else:
-        s = poly.parse(ns.input)
-        report = compiler.compile(s, club=club, verify=verify, fuel=ns.fuel)
+    s, constants = _parse_input(ns)
+    report = compiler.compile(s, club=club, verify=verify, fuel=ns.fuel, constants=constants)
     if verify and not report.verified:
         return _fail(ns, EXIT_INTERNAL, "internal error: verification failed")
     dec = poly.usage(report.input)
@@ -228,7 +230,8 @@ def _cmd_factor(ns) -> int:
     recomposed = finord.identity(f.dom)
     for g in chain:
         recomposed = finord.compose(finord.make_generator(g), recomposed)
-    assert recomposed == f, "factor chain must recompose to the input"
+    if recomposed != f:
+        return _fail(ns, EXIT_INTERNAL, "internal error: factor chain does not recompose to the input")
     if ns.json:
         _print_json({
             "command": "factor",
@@ -267,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_OK
-    if ns.fuel < 1:
+    if "fuel" in ns and ns.fuel < 1:
         return _fail(ns, EXIT_USAGE, "fuel must be at least 1")
     try:
         return _COMMANDS[ns.command](ns)

@@ -180,39 +180,27 @@ def poly_image(t: poly.PolyTerm, args: list[CombTerm] | tuple[CombTerm, ...]) ->
     return App(poly_image(t.left, args), poly_image(t.right, args))
 
 
-def run_equation(
+def verify(
     candidate: CombTerm,
-    args: list[CombTerm],
-    expected: CombTerm,
+    s: poly.Sequent,
     fuel: int = DEFAULT_FUEL,
+    constants: tuple[str, ...] = (),
 ) -> tuple[bool, int]:
-    """Normalize candidate applied to args and compare with expected.
+    """Does candidate compute the polynomial s?  Returns (verdict, steps).
 
-    expected must already be normal.  Raises FuelExhausted rather than
-    returning a verdict when the budget runs out, so a timeout is never
-    mistaken for a disproof.
+    The first len(constants) slots of s stand for the named constant symbols,
+    which candidate already contains; it is applied to fresh symbols for the
+    remaining slots (renamed away from its own free symbols) and its normal
+    form compared with s's term on constants and symbols.  Raises
+    FuelExhausted rather than returning a verdict when the budget runs out,
+    so a timeout is never mistaken for a disproof.
     """
-    result = normalize(apply(candidate, args), fuel)
+    syms = fresh_symbols(s.context_size - len(constants), free_symbols(candidate))
+    expected = poly_image(s.term, [FreeSym(name) for name in constants] + syms)
+    result = normalize(apply(candidate, syms), fuel)
     if result.status is ReductionStatus.FUEL_EXHAUSTED:
         raise FuelExhausted(f"no normal form within {result.steps} steps", steps=result.steps)
     return result.term == expected, result.steps
-
-
-def verify(candidate: CombTerm, s: poly.Sequent, fuel: int = DEFAULT_FUEL) -> bool:
-    """Does candidate compute the polynomial s?
-
-    Applies candidate to fresh symbols v1..vn (renamed away from candidate's
-    own free symbols) and checks the normal form is s's term on them.
-    """
-    return verify_with_steps(candidate, s, fuel)[0]
-
-
-def verify_with_steps(
-    candidate: CombTerm, s: poly.Sequent, fuel: int = DEFAULT_FUEL
-) -> tuple[bool, int]:
-    syms = fresh_symbols(s.context_size, free_symbols(candidate))
-    expected = poly_image(s.term, syms)
-    return run_equation(candidate, list(syms), expected, fuel)
 
 
 _TOKEN_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|[()])")

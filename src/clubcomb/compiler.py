@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from . import comb, finord, poly
 from .comb import CombTerm, FreeSym
-from .errors import ArityZero, ClubViolation, IndexOutOfRange
+from .errors import ArityMismatch, ArityZero, ClubViolation
 from .finord import Club, FinFun, GenKind, Generator
 
 
@@ -62,42 +62,36 @@ def _contract_leftmost(b: poly.Node) -> tuple[poly.Bracketing, int]:
     return got
 
 
-def lift_transposition(a: CombTerm, n: int, i: int) -> CombTerm:
-    """From a witness of f (arity n) to one of f o t(n,i): B^(i-1) C a."""
-    if not 1 <= i < n:
-        raise IndexOutOfRange(f"transposition index {i} outside 1..{n - 1}")
-    return comb.apply(comb.b_power(i - 1), [comb.C, a])
+# The primitive each generator family lifts through, and the arity a witness
+# must have before lifting along g, relative to g.n (it has g.n after).
+_LIFTS: dict[GenKind, tuple[CombTerm, int]] = {
+    GenKind.TRANSPOSITION: (comb.C, 0),
+    GenKind.FACE: (comb.K, -1),
+    GenKind.DEGENERACY: (comb.W, 1),
+}
 
 
-def lift_face(a: CombTerm, n: int, i: int) -> CombTerm:
-    """From a witness of f (arity n-1) to one of f o d(n,i): B^(i-1) K a.
+def lift(a: CombTerm, g: Generator) -> CombTerm:
+    """From a witness a of f (arity g.n + offset) to one of f o g: B^(i-1) P a.
 
-    The new witness takes n arguments and discards the i-th.  For n = 1 the
-    given witness would need arity 0, which no polynomial has.
+    P is C for a transposition, K for a face (the new witness discards its
+    i-th argument) and W for a degeneracy.  The face d(1,1) would need a
+    witness of arity 0, which no polynomial has.
     """
-    if n == 1:
+    prim, offset = _LIFTS[g.kind]
+    if g.n + offset == 0:
         raise ArityZero("cannot lift a face into a one-argument witness")
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(f"face index {i} outside 1..{n}")
-    return comb.apply(comb.b_power(i - 1), [comb.K, a])
-
-
-def lift_degeneracy(a: CombTerm, n: int, i: int) -> CombTerm:
-    """From a witness of f (arity n+1) to one of f o s(n,i): B^(i-1) W a."""
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(f"degeneracy index {i} outside 1..{n}")
-    return comb.apply(comb.b_power(i - 1), [comb.W, a])
+    return comb.apply(comb.b_power(g.i - 1), [prim, a])
 
 
 @dataclass(frozen=True)
 class CompileReport:
     """Everything the compiler decided and produced for one input.
 
-    In constants mode, output is the closed witness already applied to the
-    constant symbols, constants lists them in slot order, and verified refers
-    to the constant-instantiated equation; otherwise verified means
-    verify(output, input) at the fuel used.  steps counts the verification
-    reduction; it is 0 when verification was skipped.
+    output is the closed witness applied to the constant symbols, which
+    constants lists in slot order (empty outside constants mode); verified
+    and steps are comb.verify(output, input, fuel, constants).  Both are
+    False and 0 when verification was skipped.
     """
 
     input: poly.Sequent
@@ -110,9 +104,32 @@ class CompileReport:
     constants: tuple[str, ...] = field(default=())
 
 
-def _compile_core(
-    s: poly.Sequent, club: Club | None
-) -> tuple[Club, FinFun, tuple[Generator, ...], CombTerm]:
+def compile(
+    s: poly.Sequent,
+    club: Club | None = None,
+    verify: bool = True,
+    fuel: int = comb.DEFAULT_FUEL,
+    constants: tuple[str, ...] = (),
+) -> CompileReport:
+    """Compile s over the given club (default: its minimal club).
+
+    With constants, the first len(constants) slots of s are constant
+    occurrences: the extended sequent is compiled as usual, so the club must
+    contain the extended usage function, and the witness is then applied to
+    the constant symbols, leaving a term over the remaining variables only.
+
+    Raises ClubViolation when the usage function is not in the club, and
+    ArityZero when no variables remain (no valid polynomial has an empty
+    context, but inputs arriving through constants preprocessing can).
+    """
+    n_vars = s.context_size - len(constants)
+    if n_vars < 0:
+        raise ArityMismatch(f"{len(constants)} constants exceed {s.context_size} context slots")
+    if n_vars == 0:
+        raise ArityZero(
+            "the term contains constants only; no variables remain" if constants
+            else "a polynomial with no variables cannot be compiled"
+        )
     dec = poly.usage(s)
     u = dec.usage
     minimal = finord.minimal_club(u)
@@ -128,78 +145,16 @@ def _compile_core(
     term = compile_bracketing(dec.skeleton)
     arity = u.dom
     for g in chain:
-        if g.kind is GenKind.TRANSPOSITION:
-            assert arity == g.n, "transposition must match the current arity"
-            term = lift_transposition(term, g.n, g.i)
-            arity = g.n
-        elif g.kind is GenKind.DEGENERACY:
-            assert arity == g.n + 1, "degeneracy lowers the arity by one"
-            term = lift_degeneracy(term, g.n, g.i)
-            arity = g.n
-        else:
-            assert arity == g.n - 1, "face raises the arity by one"
-            term = lift_face(term, g.n, g.i)
-            arity = g.n
-    assert arity == s.context_size, "the folded chain must land on the full context"
-    return club_used, u, chain, term
-
-
-def compile(
-    s: poly.Sequent,
-    club: Club | None = None,
-    verify: bool = True,
-    fuel: int = comb.DEFAULT_FUEL,
-) -> CompileReport:
-    """Compile s over the given club (default: its minimal club).
-
-    Raises ClubViolation when the usage function is not in the club, and
-    ArityZero for an empty context (no valid polynomial has one, but inputs
-    arriving through constants preprocessing can).
-    """
-    if s.context_size == 0:
-        raise ArityZero("a polynomial with no variables cannot be compiled")
-    club_used, u, chain, term = _compile_core(s, club)
+        if arity != g.n + _LIFTS[g.kind][1]:
+            raise ArityMismatch(f"cannot lift a {arity}-argument witness along {g}")
+        term = lift(term, g)
+        arity = g.n
+    if arity != s.context_size:
+        raise ArityMismatch(f"the chain lands on {arity} arguments, not {s.context_size}")
+    output = comb.apply(term, [FreeSym(name) for name in constants])
     verified, steps = False, 0
     if verify:
-        verified, steps = comb.verify_with_steps(term, s, fuel)
-    return CompileReport(
-        input=s,
-        club_used=club_used,
-        usage=u,
-        generator_chain=chain,
-        output=term,
-        verified=verified,
-        steps=steps,
-    )
-
-
-def compile_with_constants(
-    s: poly.Sequent,
-    constants: tuple[str, ...],
-    club: Club | None = None,
-    verify: bool = True,
-    fuel: int = comb.DEFAULT_FUEL,
-) -> CompileReport:
-    """Compile a sequent whose first len(constants) slots are constant occurrences.
-
-    The extended sequent (constants included as leading variables) is
-    compiled as usual, so the club must contain the extended usage function.
-    The witness is then applied to the constant symbols, leaving a term over
-    the original variables only.  ArityZero signals that nothing but
-    constants occurred.
-    """
-    n_vars = s.context_size - len(constants)
-    assert n_vars >= 0, "more constants than context slots"
-    if n_vars == 0:
-        raise ArityZero("the term contains constants only; no variables remain")
-    club_used, u, chain, witness = _compile_core(s, club)
-    const_syms = [FreeSym(name) for name in constants]
-    output = comb.apply(witness, const_syms)
-    verified, steps = False, 0
-    if verify:
-        syms = comb.fresh_symbols(n_vars, comb.free_symbols(output))
-        expected = comb.poly_image(s.term, const_syms + syms)
-        verified, steps = comb.run_equation(output, list(syms), expected, fuel)
+        verified, steps = comb.verify(output, s, fuel, constants)
     return CompileReport(
         input=s,
         club_used=club_used,

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-Every error raised on a bad input (as opposed to an internal bug, which
-surfaces as AssertionError) derives from ClubCombError, so callers can
-catch the whole family at once.  The CLI maps subfamilies to exit codes.
+Every error raised on a bad input derives from ClubCombError, so callers can
+catch the whole family at once.  The CLI maps subfamilies to exit codes; an
+internal invariant that fails (such as an ArityMismatch while folding a
+generator chain) maps to the internal-error code.
 """
 
 from __future__ import annotations

@@ -14,9 +14,11 @@ adjacent transpositions t(n,i), degeneracies s(n,i), and faces d(n,i).
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     ArityMismatch,
@@ -169,43 +171,25 @@ def make_generator(g: Generator) -> FinFun:
     return FinFun(g.n - 1, g.n, tuple(x if x < g.i else x + 1 for x in range(1, g.n)))
 
 
-INJECTIVE = "injective"
-SURJECTIVE = "surjective"
-MONOTONE = "monotone"
+class Classification(NamedTuple):
+    """The three structural properties, in a fixed order.
 
+    A club's requirement set uses the same triple, a True entry meaning the
+    property is required, so membership is entrywise implication.
+    """
 
-@dataclass(frozen=True)
-class Classification:
     injective: bool
     surjective: bool
     monotone: bool
-    bijective: bool
-    identity: bool
 
 
 def classify(f: FinFun) -> Classification:
-    inj = len(set(f.table)) == f.dom
-    srj = set(f.table) == set(range(1, f.cod + 1))
-    mono = all(f.table[k] <= f.table[k + 1] for k in range(f.dom - 1))
+    image = set(f.table)
     return Classification(
-        injective=inj,
-        surjective=srj,
-        monotone=mono,
-        bijective=inj and srj,
-        identity=inj and srj and mono,
+        injective=len(image) == f.dom,
+        surjective=image == set(range(1, f.cod + 1)),
+        monotone=all(f.table[k] <= f.table[k + 1] for k in range(f.dom - 1)),
     )
-
-
-def _props(f: FinFun) -> frozenset[str]:
-    c = classify(f)
-    out = set()
-    if c.injective:
-        out.add(INJECTIVE)
-    if c.surjective:
-        out.add(SURJECTIVE)
-    if c.monotone:
-        out.add(MONOTONE)
-    return frozenset(out)
 
 
 class Club(Enum):
@@ -231,37 +215,46 @@ class Club(Enum):
         return self.value.capitalize()
 
 
-_REQUIRED: dict[Club, frozenset[str]] = {
-    Club.ID: frozenset({INJECTIVE, SURJECTIVE, MONOTONE}),
-    Club.BIJ: frozenset({INJECTIVE, SURJECTIVE}),
-    Club.MINJ: frozenset({INJECTIVE, MONOTONE}),
-    Club.MSRJ: frozenset({SURJECTIVE, MONOTONE}),
-    Club.INJ: frozenset({INJECTIVE}),
-    Club.SRJ: frozenset({SURJECTIVE}),
-    Club.MFUN: frozenset({MONOTONE}),
-    Club.FUN: frozenset(),
+_REQUIRED: dict[Club, Classification] = {
+    Club.ID: Classification(True, True, True),
+    Club.BIJ: Classification(True, True, False),
+    Club.MINJ: Classification(True, False, True),
+    Club.MSRJ: Classification(False, True, True),
+    Club.INJ: Classification(True, False, False),
+    Club.SRJ: Classification(False, True, False),
+    Club.MFUN: Classification(False, False, True),
+    Club.FUN: Classification(False, False, False),
 }
 
-_BY_PROPS: dict[frozenset[str], Club] = {req: c for c, req in _REQUIRED.items()}
+_BY_PROPS: dict[Classification, Club] = {req: c for c, req in _REQUIRED.items()}
+
+# What dropping each requirement lets in, in Classification order: duplicated
+# points (degeneracies, W), dropped points (faces, K), broken order
+# (transpositions, C).
+_UNLOCKS = ((GenKind.DEGENERACY, "W"), (GenKind.FACE, "K"), (GenKind.TRANSPOSITION, "C"))
 
 
-def required_properties(c: Club) -> frozenset[str]:
-    """The properties every member of c must have."""
+def required_properties(c: Club) -> Classification:
+    """The properties every member of c must have, True where required."""
     return _REQUIRED[c]
 
 
 def contains(c: Club, f: FinFun) -> bool:
-    return _REQUIRED[c] <= _props(f)
+    return all(map(operator.le, _REQUIRED[c], classify(f)))
 
 
 def minimal_club(f: FinFun) -> Club:
     """The smallest club containing f (exists for every f)."""
-    return _BY_PROPS[_props(f)]
+    return _BY_PROPS[classify(f)]
 
 
 def leq(c1: Club, c2: Club) -> bool:
     """Inclusion order: c1 <= c2 iff every member of c1 is a member of c2."""
-    return _REQUIRED[c2] <= _REQUIRED[c1]
+    return all(map(operator.le, _REQUIRED[c2], _REQUIRED[c1]))
+
+
+def _unlocked(c: Club) -> list[tuple[GenKind, str]]:
+    return [u for u, required in zip(_UNLOCKS, _REQUIRED[c]) if not required]
 
 
 def basis(c: Club) -> frozenset[str]:
@@ -270,28 +263,12 @@ def basis(c: Club) -> frozenset[str]:
     B and I are always present; C is added once order can be broken, K once
     points can be dropped, W once points can be duplicated.
     """
-    req = _REQUIRED[c]
-    out = {"B", "I"}
-    if MONOTONE not in req:
-        out.add("C")
-    if SURJECTIVE not in req:
-        out.add("K")
-    if INJECTIVE not in req:
-        out.add("W")
-    return frozenset(out)
+    return frozenset({"B", "I"}.union(p for _, p in _unlocked(c)))
 
 
 def generator_kinds(c: Club) -> frozenset[GenKind]:
     """Which generator families stay inside the club."""
-    req = _REQUIRED[c]
-    out = set()
-    if MONOTONE not in req:
-        out.add(GenKind.TRANSPOSITION)
-    if INJECTIVE not in req:
-        out.add(GenKind.DEGENERACY)
-    if SURJECTIVE not in req:
-        out.add(GenKind.FACE)
-    return frozenset(out)
+    return frozenset(k for k, _ in _unlocked(c))
 
 
 def club_from_name(name: str) -> Club:

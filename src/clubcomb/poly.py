@@ -264,22 +264,6 @@ def _surface_occurrences(t: _SVar | _SApp) -> list[str]:
     return _surface_occurrences(t.left) + _surface_occurrences(t.right)
 
 
-def parse(text: str) -> Sequent:
-    """Parse 'x1,...,xn |- term'; every term identifier must be declared."""
-    names, surface = _parse_surface(text)
-    for name in _surface_occurrences(surface):
-        if name not in names:
-            raise UndeclaredVariable(f"undeclared variable: {name}")
-    index = {name: k + 1 for k, name in enumerate(names)}
-
-    def build(t: _SVar | _SApp) -> PolyTerm:
-        if isinstance(t, _SVar):
-            return Var(index[t.name])
-        return App(build(t.left), build(t.right))
-
-    return Sequent(len(names), build(surface))
-
-
 def parse_with_constants(text: str) -> tuple[Sequent, tuple[str, ...]]:
     """Parse, treating undeclared identifiers as constants.
 
@@ -304,6 +288,14 @@ def parse_with_constants(text: str) -> tuple[Sequent, tuple[str, ...]]:
 
     term = build(surface)
     return Sequent(k + len(names), term), tuple(constants)
+
+
+def parse(text: str) -> Sequent:
+    """Parse 'x1,...,xn |- term'; every term identifier must be declared."""
+    s, constants = parse_with_constants(text)
+    if constants:
+        raise UndeclaredVariable(f"undeclared variable: {constants[0]}")
+    return s
 
 
 def format_sequent(s: Sequent) -> str:

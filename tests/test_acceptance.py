@@ -145,7 +145,7 @@ def test_criterion_05_bracketing_witnesses():
             total += 1
             witness = compiler.compile_bracketing(shape)
             assert comb.primitives(witness) <= {"B", "I"}
-            ok, steps = comb.verify_with_steps(witness, poly.linear(shape))
+            ok, steps = comb.verify(witness, poly.linear(shape))
             _observed_steps.append(steps)
             assert ok, poly.format_bracketing(shape)
     assert total == 65
@@ -159,25 +159,25 @@ def test_criterion_06_lifts_match_action():
             witness = compiler.compile_bracketing(shape)
             for i in range(1, k):
                 g = finord.transposition(k, i)
-                lifted = compiler.lift_transposition(witness, k, i)
+                lifted = compiler.lift(witness, g)
                 assert comb.primitives(lifted) <= {"B", "C", "I"}
                 _check_lift(lifted, s, g)
             for i in range(1, k + 2):
                 g = finord.face(k + 1, i)
-                lifted = compiler.lift_face(witness, k + 1, i)
+                lifted = compiler.lift(witness, g)
                 assert comb.primitives(lifted) <= {"B", "K", "I"}
                 _check_lift(lifted, s, g)
             if k >= 2:
                 for i in range(1, k):
                     g = finord.degeneracy(k - 1, i)
-                    lifted = compiler.lift_degeneracy(witness, k - 1, i)
+                    lifted = compiler.lift(witness, g)
                     assert comb.primitives(lifted) <= {"B", "W", "I"}
                     _check_lift(lifted, s, g)
 
 
 def _check_lift(lifted, s, g):
     acted = poly.act(s, finord.make_generator(g))
-    ok, steps = comb.verify_with_steps(lifted, acted)
+    ok, steps = comb.verify(lifted, acted)
     _observed_steps.append(steps)
     assert ok, (poly.format_sequent(s), str(g))
 

@@ -121,13 +121,56 @@ def test_unknown_flag_rejected():
     assert r.returncode == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--club", "fun", "--constants", "B"],
+    ["diagram", "--no-verify", "--fuel", "5", "1->1:[1]"],
+    ["analyze", "--club", "fun", "x |- x"],
+    ["analyze", "--fuel", "5", "x |- x"],
+    ["eval", "--no-verify", "I a"],
+    ["factor", "--constants", "1->1:[1]"],
+    ["factor", "--fuel", "5", "1->1:[1]"],
+    ["diagram", "--club", "fun", "1->1:[1]"],
+])
+def test_flags_a_subcommand_does_not_use_are_rejected(argv, capsys):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+# Replaces finord.factor with one returning a wrong chain, then runs the CLI
+# with assertions stripped (-O): the CLI must still refuse the result.
+_WRONG_FACTOR = """
+import sys
+from clubcomb import cli, finord
+finord.factor = lambda f, club: {chain}
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv,chain", [
+    (["factor", "2->2:[2,1]"], "[]"),
+    (["compile", "--no-verify", "x, y |- y x"], "[finord.transposition(3, 1)]"),
+    (["compile", "--no-verify", "x, y |- y x"], "[finord.face(3, 3)]"),
+])
+def test_wrong_factor_chain_is_internal_error_without_asserts(argv, chain):
+    code = _WRONG_FACTOR.format(chain=chain)
+    r = subprocess.run([sys.executable, "-O", "-c", code] + argv, capture_output=True)
+    assert r.returncode == 4
+    assert r.stdout == b""
+    assert r.stderr.startswith(b"error: internal error")
+
+
 def test_missing_command_rejected():
     assert run_cli([]).returncode == 1
 
 
-def test_bad_fuel_rejected():
+def test_bad_fuel_rejected(capsys):
     r = run_cli(["eval", "--fuel", "0", "I I"])
     assert r.returncode == 1
+    for command, text in [("compile", "x |- x"), ("eval", "I a")]:
+        assert cli.main([command, "--json", "--fuel", "0", text]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "fuel must be at least 1"
 
 
 def test_malformed_finfun_is_usage_error():

@@ -6,14 +6,7 @@ import pytest
 
 from clubcomb import comb, finord, poly
 from clubcomb.comb import App, B, C, I, K, W, FreeSym
-from clubcomb.compiler import (
-    compile,
-    compile_bracketing,
-    compile_with_constants,
-    lift_degeneracy,
-    lift_face,
-    lift_transposition,
-)
+from clubcomb.compiler import compile, compile_bracketing, lift
 from clubcomb.errors import ArityZero, ClubViolation, IndexOutOfRange
 from clubcomb.finord import Club, FinFun
 from clubcomb.poly import LEAF, Node
@@ -28,7 +21,8 @@ def test_compile_bracketing_pair():
     # witness I B I: reduces on two arguments in 3 steps
     w = compile_bracketing(Node(LEAF, LEAF))
     assert w == App(App(I, B), I)
-    assert comb.verify(w, poly.linear(Node(LEAF, LEAF)))
+    ok, _ = comb.verify(w, poly.linear(Node(LEAF, LEAF)))
+    assert ok
 
 
 def test_compile_bracketing_right_nested():
@@ -41,7 +35,8 @@ def test_compile_bracketing_all_shapes_verify_over_b_and_i():
         for shape in poly.all_bracketings(n):
             w = compile_bracketing(shape)
             assert comb.primitives(w) <= {"B", "I"}
-            assert comb.verify(w, poly.linear(shape))
+            ok, _ = comb.verify(w, poly.linear(shape))
+            assert ok
 
 
 def test_compile_bracketing_deterministic():
@@ -51,38 +46,42 @@ def test_compile_bracketing_deterministic():
 
 def test_lift_transposition_structure_and_behavior():
     a = FreeSym("a")
-    assert lift_transposition(a, 2, 1) == App(App(I, C), a)
-    assert lift_transposition(B, 3, 2) == App(App(B, C), B)
-    w = lift_transposition(compile_bracketing(Node(LEAF, LEAF)), 2, 1)
-    assert comb.verify(w, poly.parse("x1,x2 |- x2 x1"))
+    assert lift(a, finord.transposition(2, 1)) == App(App(I, C), a)
+    assert lift(B, finord.transposition(3, 2)) == App(App(B, C), B)
+    w = lift(compile_bracketing(Node(LEAF, LEAF)), finord.transposition(2, 1))
+    ok, _ = comb.verify(w, poly.parse("x1,x2 |- x2 x1"))
+    assert ok
 
 
 def test_lift_face_structure_and_behavior():
-    assert lift_face(I, 2, 2) == App(App(B, K), I)
-    assert comb.verify(lift_face(I, 2, 2), poly.parse("x1,x2 |- x1"))
-    assert lift_face(I, 2, 1) == App(App(I, K), I)
-    assert comb.verify(lift_face(I, 2, 1), poly.parse("x1,x2 |- x2"))
+    assert lift(I, finord.face(2, 2)) == App(App(B, K), I)
+    ok, _ = comb.verify(lift(I, finord.face(2, 2)), poly.parse("x1,x2 |- x1"))
+    assert ok
+    assert lift(I, finord.face(2, 1)) == App(App(I, K), I)
+    ok, _ = comb.verify(lift(I, finord.face(2, 1)), poly.parse("x1,x2 |- x2"))
+    assert ok
 
 
 def test_lift_degeneracy_structure_and_behavior():
     a = FreeSym("a")
-    assert lift_degeneracy(a, 2, 2) == App(App(B, W), a)
-    assert lift_degeneracy(I, 1, 1) == App(App(I, W), I)
-    assert comb.verify(lift_degeneracy(I, 1, 1), poly.parse("x |- x x"))
+    assert lift(a, finord.degeneracy(2, 2)) == App(App(B, W), a)
+    assert lift(I, finord.degeneracy(1, 1)) == App(App(I, W), I)
+    ok, _ = comb.verify(lift(I, finord.degeneracy(1, 1)), poly.parse("x |- x x"))
+    assert ok
 
 
 def test_lift_index_validation():
     with pytest.raises(IndexOutOfRange):
-        lift_transposition(I, 2, 2)
+        lift(I, finord.transposition(2, 2))
     with pytest.raises(IndexOutOfRange):
-        lift_face(I, 2, 3)
+        lift(I, finord.face(2, 3))
     with pytest.raises(IndexOutOfRange):
-        lift_degeneracy(I, 2, 0)
+        lift(I, finord.degeneracy(2, 0))
 
 
 def test_lift_face_arity_zero():
     with pytest.raises(ArityZero):
-        lift_face(I, 1, 1)
+        lift(I, finord.face(1, 1))
 
 
 def test_lifts_match_action_on_all_small_bracketings():
@@ -94,16 +93,19 @@ def test_lifts_match_action_on_all_small_bracketings():
             for i in range(1, n):
                 g = finord.transposition(n, i)
                 acted = poly.act(s, finord.make_generator(g))
-                assert comb.verify(lift_transposition(a, n, i), acted)
+                ok, _ = comb.verify(lift(a, g), acted)
+                assert ok
             for i in range(1, n + 2):
                 g = finord.face(n + 1, i)
                 acted = poly.act(s, finord.make_generator(g))
-                assert comb.verify(lift_face(a, n + 1, i), acted)
+                ok, _ = comb.verify(lift(a, g), acted)
+                assert ok
             if n >= 2:
                 for i in range(1, n):
                     g = finord.degeneracy(n - 1, i)
                     acted = poly.act(s, finord.make_generator(g))
-                    assert comb.verify(lift_degeneracy(a, n - 1, i), acted)
+                    ok, _ = comb.verify(lift(a, g), acted)
+                    assert ok
 
 
 def test_compile_identity_usage():
@@ -155,7 +157,8 @@ def test_compile_report_is_deterministic():
 def test_compile_skip_verification():
     report = compile(poly.parse("x1,x2 |- x2 x1"), verify=False)
     assert report.verified is False and report.steps == 0
-    assert comb.verify(report.output, report.input)
+    ok, _ = comb.verify(report.output, report.input)
+    assert ok
 
 
 def test_compile_chain_recomposes_to_usage():
@@ -199,20 +202,25 @@ def test_compiled_witnesses_behave_as_their_basis_combinators():
     # the canonical sequents compile to terms satisfying the respective
     # defining equations, whatever their internal shape
     b_like = compile(poly.parse("x1,x2,x3 |- x1 (x2 x3)"), club=Club.ID).output
-    assert comb.verify(b_like, poly.parse("x1,x2,x3 |- x1 (x2 x3)"))
+    ok, _ = comb.verify(b_like, poly.parse("x1,x2,x3 |- x1 (x2 x3)"))
+    assert ok
     c_like = compile(poly.parse("x1,x2,x3 |- x1 x3 x2"), club=Club.BIJ).output
-    assert comb.verify(c_like, poly.parse("x1,x2,x3 |- x1 x3 x2"))
+    ok, _ = comb.verify(c_like, poly.parse("x1,x2,x3 |- x1 x3 x2"))
+    assert ok
     k_like = compile(poly.parse("x1,x2 |- x1"), club=Club.MINJ).output
-    assert comb.verify(k_like, poly.parse("x1,x2 |- x1"))
+    ok, _ = comb.verify(k_like, poly.parse("x1,x2 |- x1"))
+    assert ok
     w_like = compile(poly.parse("x1,x2 |- x1 x2 x2"), club=Club.MSRJ).output
-    assert comb.verify(w_like, poly.parse("x1,x2 |- x1 x2 x2"))
+    ok, _ = comb.verify(w_like, poly.parse("x1,x2 |- x1 x2 x2"))
+    assert ok
     i_like = compile(poly.parse("x |- x"), club=Club.ID).output
-    assert comb.verify(i_like, poly.parse("x |- x"))
+    ok, _ = comb.verify(i_like, poly.parse("x |- x"))
+    assert ok
 
 
 def test_compile_with_constants_basic():
     s, consts = poly.parse_with_constants("x |- a (b x)")
-    report = compile_with_constants(s, consts)
+    report = compile(s, constants=consts)
     assert report.constants == ("a", "b")
     # the witness is applied to the constants in slot order
     head = report.output
@@ -225,22 +233,22 @@ def test_compile_with_constants_club_checked_on_extended_usage():
     # x |- x a extends to usage [2,1], which needs Bij, not Id
     s, consts = poly.parse_with_constants("x |- x a")
     with pytest.raises(ClubViolation) as exc:
-        compile_with_constants(s, consts, club=Club.ID)
+        compile(s, club=Club.ID, constants=consts)
     assert exc.value.minimal is Club.BIJ
-    report = compile_with_constants(s, consts, club=Club.BIJ)
+    report = compile(s, club=Club.BIJ, constants=consts)
     assert report.verified
 
 
 def test_compile_with_constants_arity_zero():
     s, consts = poly.parse_with_constants("|- k k")
     with pytest.raises(ArityZero):
-        compile_with_constants(s, consts)
+        compile(s, constants=consts)
 
 
 def test_compile_with_constants_repeated_name_collision_safe():
     # constants named like fresh symbols must not confuse verification
     s, consts = poly.parse_with_constants("x |- v1 x")
-    report = compile_with_constants(s, consts)
+    report = compile(s, constants=consts)
     assert report.verified
 
 
@@ -249,4 +257,4 @@ def test_compile_with_constants_single_constant_arity_zero():
     # compile is unreachable; the constants path is the honest trigger
     s, consts = poly.parse_with_constants("|- k")
     with pytest.raises(ArityZero):
-        compile_with_constants(s, consts)
+        compile(s, constants=consts)
