@@ -282,6 +282,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(ns, EXIT_FUEL, str(e))
     except (ClubCombError, AssertionError) as e:
         return _fail(ns, EXIT_INTERNAL, f"internal error: {e}")
+    except Exception as e:  # a bug, or a limit such as RecursionError: one line, no traceback
+        return _fail(ns, EXIT_INTERNAL, f"internal error: {type(e).__name__}: {e}")
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ makes it total (W W W steps to itself forever, so some budget must exist).
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -22,7 +23,8 @@ from .errors import FuelExhausted, ParseError
 
 DEFAULT_FUEL = 10**6
 
-PRIM_NAMES = ("B", "C", "K", "W", "I")
+_ARITY = {"B": 3, "C": 3, "K": 2, "W": 2, "I": 1}
+PRIM_NAMES = tuple(_ARITY)
 
 
 @dataclass(frozen=True)
@@ -63,49 +65,6 @@ def apply(t: CombTerm, args: list[CombTerm] | tuple[CombTerm, ...]) -> CombTerm:
     return t
 
 
-def _spine(t: CombTerm) -> tuple[CombTerm, list[CombTerm]]:
-    """Head and argument list of the left spine."""
-    args: list[CombTerm] = []
-    while isinstance(t, App):
-        args.append(t.right)
-        t = t.left
-    args.reverse()
-    return t, args
-
-
-def _contract(head: CombTerm, args: list[CombTerm]) -> CombTerm | None:
-    """Contract the root redex of (head args...), if there is one."""
-    if not isinstance(head, Prim):
-        return None
-    match head.name:
-        case "I" if len(args) >= 1:
-            return apply(args[0], args[1:])
-        case "K" if len(args) >= 2:
-            return apply(args[0], args[2:])
-        case "W" if len(args) >= 2:
-            return apply(App(App(args[0], args[1]), args[1]), args[2:])
-        case "B" if len(args) >= 3:
-            return apply(App(args[0], App(args[1], args[2])), args[3:])
-        case "C" if len(args) >= 3:
-            return apply(App(App(args[0], args[2]), args[1]), args[3:])
-    return None
-
-
-def step(t: CombTerm) -> CombTerm | None:
-    """One leftmost-outermost step, or None if t is in normal form."""
-    head, args = _spine(t)
-    contracted = _contract(head, args)
-    if contracted is not None:
-        return contracted
-    # No root redex: the head is inert, so reduce the leftmost reducible
-    # argument and rebuild the spine around it.
-    for k, a in enumerate(args):
-        advanced = step(a)
-        if advanced is not None:
-            return apply(head, args[:k] + [advanced] + args[k + 1:])
-    return None
-
-
 class ReductionStatus(Enum):
     NORMAL = "normal"
     FUEL_EXHAUSTED = "fuel_exhausted"
@@ -119,18 +78,71 @@ class ReductionResult:
 
 
 def normalize(t: CombTerm, fuel: int = DEFAULT_FUEL) -> ReductionResult:
-    """Reduce to normal form, giving up after fuel steps."""
+    """Reduce to normal form, giving up after fuel steps.
+
+    A spine-stack machine: the left spine is unwound onto an argument stack
+    (first argument on top) and the root redex contracted on that stack while
+    the head is a primitive with enough arguments.  Once the head is stuck no
+    root redex can reappear, so its arguments are normalized one after
+    another, left to right.  That is leftmost-outermost order, so the steps
+    counted, and the term returned when fuel runs out, are those of repeated
+    step.  Each step costs O(1) apart from unwinding, whatever the term size.
+    """
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
     steps = 0
+    frames: list[list] = []  # stuck heads: [head, pending args (first on top), normal args]
+    head, args = t, []
     while True:
-        advanced = step(t)
-        if advanced is None:
-            return ReductionResult(t, steps, ReductionStatus.NORMAL)
-        if steps == fuel:
-            return ReductionResult(t, steps, ReductionStatus.FUEL_EXHAUSTED)
-        t = advanced
-        steps += 1
+        while True:
+            while type(head) is App:
+                args.append(head.right)
+                head = head.left
+            if type(head) is not Prim or len(args) < _ARITY[head.name]:
+                break
+            if steps == fuel:
+                return ReductionResult(
+                    _rebuild(head, args, frames), steps, ReductionStatus.FUEL_EXHAUSTED)
+            steps += 1
+            name = head.name
+            head = args.pop()
+            if name == "B":  # x y z -> x (y z)
+                y = args.pop()
+                args.append(App(y, args.pop()))
+            elif name == "C":  # x y z -> x z y
+                y = args.pop()
+                z = args.pop()
+                args.append(y)
+                args.append(z)
+            elif name == "K":  # x y -> x
+                args.pop()
+            elif name == "W":  # x y -> x y y
+                args.append(args[-1])
+        frames.append([head, args, []])
+        while True:
+            frame = frames[-1]
+            if frame[1]:
+                head, args = frame[1].pop(), []
+                break
+            frames.pop()
+            done = apply(frame[0], frame[2])
+            if not frames:
+                return ReductionResult(done, steps, ReductionStatus.NORMAL)
+            frames[-1][2].append(done)
+
+
+def _rebuild(head: CombTerm, args: list[CombTerm], frames: list[list]) -> CombTerm:
+    """The whole term held by normalize's machine, where reduction stopped."""
+    t = apply(head, args[::-1])
+    for frame_head, pending, done in reversed(frames):
+        t = apply(App(apply(frame_head, done), t), pending[::-1])
+    return t
+
+
+def step(t: CombTerm) -> CombTerm | None:
+    """One leftmost-outermost step, or None if t is in normal form."""
+    result = normalize(t, 1)
+    return None if result.steps == 0 else result.term
 
 
 def b_power(n: int) -> CombTerm:
@@ -149,20 +161,24 @@ def b_power(n: int) -> CombTerm:
     return t
 
 
+def _leaves(t: CombTerm) -> Iterator[CombTerm]:
+    """The leaves of t, left to right."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, App):
+            stack.append(node.right)
+            stack.append(node.left)
+        else:
+            yield node
+
+
 def free_symbols(t: CombTerm) -> frozenset[str]:
-    if isinstance(t, FreeSym):
-        return frozenset({t.name})
-    if isinstance(t, App):
-        return free_symbols(t.left) | free_symbols(t.right)
-    return frozenset()
+    return frozenset(leaf.name for leaf in _leaves(t) if isinstance(leaf, FreeSym))
 
 
 def primitives(t: CombTerm) -> frozenset[str]:
-    if isinstance(t, Prim):
-        return frozenset({t.name})
-    if isinstance(t, App):
-        return primitives(t.left) | primitives(t.right)
-    return frozenset()
+    return frozenset(leaf.name for leaf in _leaves(t) if isinstance(leaf, Prim))
 
 
 def fresh_symbols(count: int, avoid: frozenset[str]) -> list[FreeSym]:
@@ -224,44 +240,40 @@ def parse_comb(text: str) -> CombTerm:
         tokens.append(m.group(1))
         pos = m.end()
 
-    cursor = [0]
-
-    def peek() -> str | None:
-        return tokens[cursor[0]] if cursor[0] < len(tokens) else None
-
-    def atom() -> CombTerm:
-        tok = peek()
+    stack: list[CombTerm | None] = [None]  # one partial application per open parenthesis
+    for tok in tokens:
         if tok == "(":
-            cursor[0] += 1
-            t = term()
-            if peek() != ")":
-                raise ParseError("missing ')'")
-            cursor[0] += 1
-            return t
-        if tok is not None and tok not in ("(", ")"):
-            cursor[0] += 1
-            return Prim(tok) if tok in PRIM_NAMES else FreeSym(tok)
-        raise ParseError(f"expected a term, got {tok!r}" if tok else "expected a term")
-
-    def term() -> CombTerm:
-        t = atom()
-        while peek() is not None and peek() != ")":
-            t = App(t, atom())
-        return t
-
-    result = term()
-    if cursor[0] != len(tokens):
-        raise ParseError(f"unexpected token {tokens[cursor[0]]!r} after term")
-    return result
+            stack.append(None)
+            continue
+        if tok == ")":
+            if stack[-1] is None:
+                raise ParseError("expected a term, got ')'")
+            if len(stack) == 1:
+                raise ParseError("unexpected token ')' after term")
+            atom = stack.pop()
+        else:
+            atom = Prim(tok) if tok in PRIM_NAMES else FreeSym(tok)
+        stack[-1] = atom if stack[-1] is None else App(stack[-1], atom)
+    if stack[-1] is None:
+        raise ParseError("expected a term")
+    if len(stack) > 1:
+        raise ParseError("missing ')'")
+    return stack[0]
 
 
 def format_comb(t: CombTerm) -> str:
     """Minimal-parenthesis rendering; parse_comb(format_comb(t)) == t."""
-
-    def fmt(node: CombTerm, rhs: bool) -> str:
-        if isinstance(node, (Prim, FreeSym)):
-            return node.name
-        body = f"{fmt(node.left, False)} {fmt(node.right, True)}"
-        return f"({body})" if rhs else body
-
-    return fmt(t, False)
+    parts: list[str] = []
+    stack: list[CombTerm | str] = [t]  # terms to render and literal text, next on top
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        elif isinstance(node, App):
+            if isinstance(node.right, App):  # only an argument needs parentheses
+                stack += (")", node.right, "(", " ", node.left)
+            else:
+                stack += (node.right, " ", node.left)
+        else:
+            parts.append(node.name)
+    return "".join(parts)

@@ -91,9 +91,17 @@ class UsageDecomposition:
 
 
 def _occurrences(t: PolyTerm) -> list[int]:
-    if isinstance(t, Var):
-        return [t.index]
-    return _occurrences(t.left) + _occurrences(t.right)
+    """The variable of each occurrence, left to right."""
+    out: list[int] = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            out.append(node.index)
+        else:
+            stack.append(node.right)
+            stack.append(node.left)
+    return out
 
 
 def _skeleton(t: PolyTerm) -> Bracketing:

@@ -2,13 +2,15 @@
 
 Everything here recomputes results by a different route than the package:
 pointwise evaluation instead of table algebra, pairwise scans instead of set
-tricks, breadth-first closure instead of predicate tests.  Tests compare the
+tricks, breadth-first closure instead of predicate tests, a rewrite of the
+whole term per reduction step instead of a spine-stack machine.  Tests compare the
 two routes, so a shared bug would have to be made twice in different shapes.
 """
 
 from __future__ import annotations
 
 from clubcomb import finord
+from clubcomb.comb import App, CombTerm, Prim, ReductionStatus, apply
 from clubcomb.finord import Club, FinFun, Generator, GenKind
 
 
@@ -103,3 +105,59 @@ def bfs_closure(club: Club, max_size: int) -> set[FinFun]:
                 by_cod.setdefault(h.cod, []).append(h)
                 work.append(h)
     return closed
+
+
+def _spine(t: CombTerm) -> tuple[CombTerm, list[CombTerm]]:
+    """Head and argument list of the left spine."""
+    args: list[CombTerm] = []
+    while isinstance(t, App):
+        args.append(t.right)
+        t = t.left
+    args.reverse()
+    return t, args
+
+
+def _contract(head: CombTerm, args: list[CombTerm]) -> CombTerm | None:
+    """Contract the root redex of (head args...), if there is one."""
+    if not isinstance(head, Prim):
+        return None
+    match head.name:
+        case "I" if len(args) >= 1:
+            return apply(args[0], args[1:])
+        case "K" if len(args) >= 2:
+            return apply(args[0], args[2:])
+        case "W" if len(args) >= 2:
+            return apply(App(App(args[0], args[1]), args[1]), args[2:])
+        case "B" if len(args) >= 3:
+            return apply(App(args[0], App(args[1], args[2])), args[3:])
+        case "C" if len(args) >= 3:
+            return apply(App(App(args[0], args[2]), args[1]), args[3:])
+    return None
+
+
+def naive_step(t: CombTerm) -> CombTerm | None:
+    """One leftmost-outermost step, or None if t is in normal form."""
+    head, args = _spine(t)
+    contracted = _contract(head, args)
+    if contracted is not None:
+        return contracted
+    # No root redex: the head is inert, so reduce the leftmost reducible
+    # argument and rebuild the spine around it.
+    for k, a in enumerate(args):
+        advanced = naive_step(a)
+        if advanced is not None:
+            return apply(head, args[:k] + [advanced] + args[k + 1:])
+    return None
+
+
+def naive_normalize(t: CombTerm, fuel: int) -> tuple[CombTerm, int, ReductionStatus]:
+    """Repeated naive_step: rebuilds the whole spine on every step."""
+    steps = 0
+    while True:
+        advanced = naive_step(t)
+        if advanced is None:
+            return t, steps, ReductionStatus.NORMAL
+        if steps == fuel:
+            return t, steps, ReductionStatus.FUEL_EXHAUSTED
+        t = advanced
+        steps += 1

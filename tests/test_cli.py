@@ -161,6 +161,30 @@ def test_wrong_factor_chain_is_internal_error_without_asserts(argv, chain):
     assert r.stderr.startswith(b"error: internal error")
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_unexpected_exception_is_one_line_internal_error(json_flag, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli.compiler, "compile", broken)
+    assert cli.main(["compile", *json_flag, "x |- x"]) == 4
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    message = "internal error: RuntimeError: boom"
+    if json_flag:
+        assert json.loads(captured.out)["error"] == message
+    else:
+        assert captured.err == f"error: {message}\n"
+
+
+def test_eval_deeply_nested_parentheses():
+    n = 10**4
+    r = run_cli(["eval", "(" * n + "x" + ")" * n])
+    assert r.returncode == 0
+    assert r.stdout.splitlines()[0] == b"term: x"
+    assert b"Traceback" not in r.stderr
+
+
 def test_missing_command_rejected():
     assert run_cli([]).returncode == 1
 

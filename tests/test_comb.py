@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from clubcomb import poly
+from clubcomb import compiler, poly
 from clubcomb.comb import (
     App,
     B,
@@ -28,6 +28,7 @@ from clubcomb.comb import (
     verify,
 )
 from clubcomb.errors import FuelExhausted, ParseError
+from oracles import naive_normalize
 
 
 def syms(*names):
@@ -99,6 +100,44 @@ def test_normalize_is_deterministic_and_complete(t):
     assert r1 == r2
     if r1.status is ReductionStatus.NORMAL:
         assert step(r1.term) is None
+
+
+@given(
+    st.recursive(
+        st.sampled_from([B, C, K, W, I, FreeSym("p"), FreeSym("q")]),
+        lambda c: st.tuples(c, c).map(lambda lr: App(*lr)),
+        max_leaves=10,
+    ),
+    st.integers(min_value=1, max_value=60),
+)
+def test_normalize_agrees_with_naive_step_loop(t, fuel):
+    r = normalize(t, fuel)
+    assert (r.term, r.steps, r.status) == naive_normalize(t, fuel)
+
+
+def test_normalize_deep_terms_without_recursion():
+    n = 10**4
+    t = FreeSym("x")
+    for _ in range(n):
+        t = App(I, t)
+    r = normalize(t)
+    assert (r.term, r.steps, r.status) == (FreeSym("x"), n, ReductionStatus.NORMAL)
+    # a stuck head over a deep argument: f (I (f (I ... x))) -> f (f ... x)
+    t = FreeSym("x")
+    for _ in range(n // 2):
+        t = App(FreeSym("f"), App(I, t))
+    r = normalize(t)
+    assert r.steps == n // 2 and r.status is ReductionStatus.NORMAL
+    assert format_comb(r.term) == "f (" * (n // 2 - 1) + "f x" + ")" * (n // 2 - 1)
+
+
+def test_verify_64_occurrence_left_comb_reversal():
+    n = 64
+    term = poly.Var(n)
+    for j in range(n - 1, 0, -1):
+        term = poly.App(term, poly.Var(j))
+    report = compiler.compile(poly.Sequent(n, term))
+    assert report.verified
 
 
 def test_b_power_terms():
@@ -186,6 +225,12 @@ def test_parse_comb_errors():
     for bad in ["", "(", "x)", "()", "x $ y"]:
         with pytest.raises(ParseError):
             parse_comb(bad)
+
+
+def test_parse_comb_deep_parentheses():
+    n = 10**4
+    assert parse_comb("(" * n + "x" + ")" * n) == x
+    assert free_symbols(parse_comb("f (" * n + "x" + ")" * n)) == frozenset({"f", "x"})
 
 
 def test_format_comb_minimal_parens():
