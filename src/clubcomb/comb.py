@@ -14,12 +14,11 @@ makes it total (W W W steps to itself forever, so some budget must exist).
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
 from . import poly
-from .errors import FuelExhausted, ParseError
+from .errors import FuelExhausted
 
 DEFAULT_FUEL = 10**6
 
@@ -161,24 +160,12 @@ def b_power(n: int) -> CombTerm:
     return t
 
 
-def _leaves(t: CombTerm) -> Iterator[CombTerm]:
-    """The leaves of t, left to right."""
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, App):
-            stack.append(node.right)
-            stack.append(node.left)
-        else:
-            yield node
-
-
 def free_symbols(t: CombTerm) -> frozenset[str]:
-    return frozenset(leaf.name for leaf in _leaves(t) if isinstance(leaf, FreeSym))
+    return frozenset(leaf.name for leaf in poly._leaves(t, App) if isinstance(leaf, FreeSym))
 
 
 def primitives(t: CombTerm) -> frozenset[str]:
-    return frozenset(leaf.name for leaf in _leaves(t) if isinstance(leaf, Prim))
+    return frozenset(leaf.name for leaf in poly._leaves(t, App) if isinstance(leaf, Prim))
 
 
 def fresh_symbols(count: int, avoid: frozenset[str]) -> list[FreeSym]:
@@ -187,13 +174,6 @@ def fresh_symbols(count: int, avoid: frozenset[str]) -> list[FreeSym]:
     while any(f"{prefix}{k}" in avoid for k in range(1, count + 1)):
         prefix += "v"
     return [FreeSym(f"{prefix}{k}") for k in range(1, count + 1)]
-
-
-def poly_image(t: poly.PolyTerm, args: list[CombTerm] | tuple[CombTerm, ...]) -> CombTerm:
-    """The combinator term obtained by substituting args[i-1] for Var i."""
-    if isinstance(t, poly.Var):
-        return args[t.index - 1]
-    return App(poly_image(t.left, args), poly_image(t.right, args))
 
 
 def verify(
@@ -207,16 +187,26 @@ def verify(
     The first len(constants) slots of s stand for the named constant symbols,
     which candidate already contains; it is applied to fresh symbols for the
     remaining slots (renamed away from its own free symbols) and its normal
-    form compared with s's term on constants and symbols.  Raises
+    form walked side by side with s's term: every application must meet an
+    application, and every Var i the i-th of constants and symbols.  Raises
     FuelExhausted rather than returning a verdict when the budget runs out,
     so a timeout is never mistaken for a disproof.
     """
     syms = fresh_symbols(s.context_size - len(constants), free_symbols(candidate))
-    expected = poly_image(s.term, [FreeSym(name) for name in constants] + syms)
+    slots = [FreeSym(name) for name in constants] + syms
     result = normalize(apply(candidate, syms), fuel)
     if result.status is ReductionStatus.FUEL_EXHAUSTED:
         raise FuelExhausted(f"no normal form within {result.steps} steps", steps=result.steps)
-    return result.term == expected, result.steps
+    stack = [(result.term, s.term)]
+    while stack:
+        got, want = stack.pop()
+        if isinstance(want, poly.App):
+            if not isinstance(got, App):
+                return False, result.steps
+            stack += ((got.right, want.right), (got.left, want.left))
+        elif isinstance(got, App) or got != slots[want.index - 1]:
+            return False, result.steps
+    return True, result.steps
 
 
 _TOKEN_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|[()])")
@@ -228,52 +218,13 @@ def parse_comb(text: str) -> CombTerm:
     The five uppercase single letters B, C, K, W, I are primitives; any
     other identifier is a free symbol.
     """
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise ParseError(f"unexpected character {rest[0]!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
-
-    stack: list[CombTerm | None] = [None]  # one partial application per open parenthesis
-    for tok in tokens:
-        if tok == "(":
-            stack.append(None)
-            continue
-        if tok == ")":
-            if stack[-1] is None:
-                raise ParseError("expected a term, got ')'")
-            if len(stack) == 1:
-                raise ParseError("unexpected token ')' after term")
-            atom = stack.pop()
-        else:
-            atom = Prim(tok) if tok in PRIM_NAMES else FreeSym(tok)
-        stack[-1] = atom if stack[-1] is None else App(stack[-1], atom)
-    if stack[-1] is None:
-        raise ParseError("expected a term")
-    if len(stack) > 1:
-        raise ParseError("missing ')'")
-    return stack[0]
+    return poly.parse_applications(
+        poly.tokenize(text, _TOKEN_RE),
+        lambda tok: Prim(tok) if tok in PRIM_NAMES else FreeSym(tok),
+        App,
+    )
 
 
 def format_comb(t: CombTerm) -> str:
     """Minimal-parenthesis rendering; parse_comb(format_comb(t)) == t."""
-    parts: list[str] = []
-    stack: list[CombTerm | str] = [t]  # terms to render and literal text, next on top
-    while stack:
-        node = stack.pop()
-        if isinstance(node, str):
-            parts.append(node)
-        elif isinstance(node, App):
-            if isinstance(node.right, App):  # only an argument needs parentheses
-                stack += (")", node.right, "(", " ", node.left)
-            else:
-                stack += (node.right, " ", node.left)
-        else:
-            parts.append(node.name)
-    return "".join(parts)
+    return poly.format_applications(t, App, lambda leaf: leaf.name)

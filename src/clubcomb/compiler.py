@@ -32,34 +32,20 @@ def compile_bracketing(b: poly.Bracketing) -> CombTerm:
     A single occurrence is I.  Otherwise the leftmost node whose children are
     both leaves covers occurrences i, i+1; contracting it to a leaf gives a
     shorter shape with witness a, and B^(i-1) B a computes the original.
+
+    Those contractions meet the nodes of b in post-order, and by then every
+    subtree left of a node's path from the root is one leaf, so its i - 1 is
+    the number of right turns on that path.  The innermost witness belongs
+    to the last contraction, so the nodes are read in reverse post-order.
     """
-    if isinstance(b, poly.Leaf):
-        return comb.I
-    contracted, i = _contract_leftmost(b)
-    inner = compile_bracketing(contracted)
-    return comb.apply(comb.b_power(i - 1), [comb.B, inner])
-
-
-def _contract_leftmost(b: poly.Node) -> tuple[poly.Bracketing, int]:
-    """Replace the leftmost leaf-leaf node by a leaf; i is its first leaf's index."""
-
-    def rec(node: poly.Node, base: int) -> tuple[poly.Bracketing, int] | None:
-        left, right = node.left, node.right
-        if isinstance(left, poly.Leaf) and isinstance(right, poly.Leaf):
-            return poly.LEAF, base + 1
-        if isinstance(left, poly.Node):
-            got = rec(left, base)
-            if got is not None:
-                return poly.Node(got[0], right), got[1]
-        if isinstance(right, poly.Node):
-            got = rec(right, base + poly.length(left))
-            if got is not None:
-                return poly.Node(left, got[0]), got[1]
-        return None
-
-    got = rec(b, 0)
-    assert got is not None, "every node with two or more leaves contains a leaf-leaf node"
-    return got
+    term = comb.I
+    stack = [(b, 0)]  # (subtree, right turns from the root)
+    while stack:
+        node, turns = stack.pop()
+        if isinstance(node, poly.Node):
+            term = comb.apply(comb.b_power(turns), [comb.B, term])
+            stack += ((node.left, turns), (node.right, turns + 1))
+    return term
 
 
 # The primitive each generator family lifts through, and the arity a witness

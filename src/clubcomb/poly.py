@@ -14,7 +14,9 @@ compile the sequent.
 
 from __future__ import annotations
 
+import itertools
 import re
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from . import finord
@@ -77,9 +79,7 @@ LEAF = Leaf()
 
 def length(b: Bracketing) -> int:
     """Number of leaves."""
-    if isinstance(b, Leaf):
-        return 1
-    return length(b.left) + length(b.right)
+    return sum(1 for _ in _leaves(b))
 
 
 @dataclass(frozen=True)
@@ -90,24 +90,44 @@ class UsageDecomposition:
     usage: FinFun
 
 
-def _occurrences(t: PolyTerm) -> list[int]:
-    """The variable of each occurrence, left to right."""
-    out: list[int] = []
+def _leaves(t, app=(App, Node)) -> Iterator:
+    """The leaves of a binary tree whose inner nodes are of type app, left to right."""
     stack = [t]
     while stack:
         node = stack.pop()
-        if isinstance(node, Var):
-            out.append(node.index)
-        else:
+        if isinstance(node, app):
             stack.append(node.right)
             stack.append(node.left)
-    return out
+        else:
+            yield node
+
+
+def _rebuild(t, leaf: Callable, node: Callable = App):
+    """t with each leaf x replaced by leaf(x) and each inner node by node(left, right).
+
+    Post-order on an explicit stack, so leaf sees the leaves left to right.
+    """
+    done: list = []
+    stack: list = [t]  # None marks a node whose two children are on done
+    while stack:
+        x = stack.pop()
+        if x is None:
+            right = done.pop()
+            done.append(node(done.pop(), right))
+        elif isinstance(x, (App, Node)):
+            stack += (None, x.right, x.left)
+        else:
+            done.append(leaf(x))
+    return done[0]
+
+
+def _occurrences(t: PolyTerm) -> list[int]:
+    """The variable of each occurrence, left to right."""
+    return [v.index for v in _leaves(t)]
 
 
 def _skeleton(t: PolyTerm) -> Bracketing:
-    if isinstance(t, Var):
-        return LEAF
-    return Node(_skeleton(t.left), _skeleton(t.right))
+    return _rebuild(t, lambda v: LEAF, Node)
 
 
 def usage(s: Sequent) -> UsageDecomposition:
@@ -121,29 +141,16 @@ def usage(s: Sequent) -> UsageDecomposition:
 
 def linear(b: Bracketing) -> Sequent:
     """The ordered linear polynomial with shape b: occurrence j is variable j."""
-    counter = [0]
-
-    def build(node: Bracketing) -> PolyTerm:
-        if isinstance(node, Leaf):
-            counter[0] += 1
-            return Var(counter[0])
-        return App(build(node.left), build(node.right))
-
-    term = build(b)
-    return Sequent(counter[0], term)
+    numbers = itertools.count(1)
+    term = _rebuild(b, lambda leaf: Var(next(numbers)))
+    return Sequent(next(numbers) - 1, term)
 
 
 def act(s: Sequent, a: FinFun) -> Sequent:
     """Reindex s along a: each Var i becomes Var a(i), the shape is unchanged."""
     if a.dom != s.context_size:
         raise ArityMismatch(f"action domain {a.dom} differs from context {s.context_size}")
-
-    def go(t: PolyTerm) -> PolyTerm:
-        if isinstance(t, Var):
-            return Var(a(t.index))
-        return App(go(t.left), go(t.right))
-
-    return Sequent(a.cod, go(s.term))
+    return Sequent(a.cod, _rebuild(s.term, lambda v: Var(a(v.index))))
 
 
 def substitute(outer: Sequent, inners: list[Sequent] | tuple[Sequent, ...]) -> Sequent:
@@ -159,18 +166,9 @@ def substitute(outer: Sequent, inners: list[Sequent] | tuple[Sequent, ...]) -> S
     offsets = [0]
     for inner in inners:
         offsets.append(offsets[-1] + inner.context_size)
-
-    def shift(t: PolyTerm, by: int) -> PolyTerm:
-        if isinstance(t, Var):
-            return Var(t.index + by)
-        return App(shift(t.left, by), shift(t.right, by))
-
-    def go(t: PolyTerm) -> PolyTerm:
-        if isinstance(t, Var):
-            return shift(inners[t.index - 1].term, offsets[t.index - 1])
-        return App(go(t.left), go(t.right))
-
-    return Sequent(offsets[-1], go(outer.term))
+    shifted = [_rebuild(inner.term, lambda v: Var(v.index + by))
+               for inner, by in zip(inners, offsets)]
+    return Sequent(offsets[-1], _rebuild(outer.term, lambda v: shifted[v.index - 1]))
 
 
 def minimal_club_of(s: Sequent) -> Club:
@@ -181,11 +179,12 @@ _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(r"\s*(\|-|[A-Za-z][A-Za-z0-9_]*|[(),])")
 
 
-def _tokenize(text: str) -> list[str]:
+def tokenize(text: str, token_re: re.Pattern) -> list[str]:
+    """The successive matches of token_re's first group; other text is a ParseError."""
     tokens = []
     pos = 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = token_re.match(text, pos)
         if m is None:
             rest = text[pos:].lstrip()
             if not rest:
@@ -196,80 +195,35 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-@dataclass(frozen=True)
-class _SVar:
-    name: str
+def parse_applications(tokens: list[str], atom: Callable, app: Callable):
+    """Parse juxtaposition: left-nested application of atoms and parenthesized terms.
 
-
-@dataclass(frozen=True)
-class _SApp:
-    left: "_SVar | _SApp"
-    right: "_SVar | _SApp"
-
-
-def _parse_surface(text: str) -> tuple[list[str], _SVar | _SApp]:
-    """Parse to named form: (context names, surface term)."""
-    tokens = _tokenize(text)
-    if tokens.count("|-") != 1:
-        raise ParseError("expected exactly one '|-'")
-    split = tokens.index("|-")
-    ctx_tokens, term_tokens = tokens[:split], tokens[split + 1:]
-
-    names: list[str] = []
-    expect_name = True
-    for tok in ctx_tokens:
-        if expect_name:
-            if not _IDENT_RE.fullmatch(tok):
-                raise ParseError(f"expected a variable name in the context, got {tok!r}")
-            if tok in names:
-                raise DuplicateContextVariable(f"duplicate context variable: {tok}")
-            names.append(tok)
-        else:
-            if tok != ",":
-                raise ParseError(f"expected ',' between context variables, got {tok!r}")
-        expect_name = not expect_name
-    if ctx_tokens and expect_name:
-        raise ParseError("trailing ',' in context")
-
-    pos = [0]
-
-    def peek() -> str | None:
-        return term_tokens[pos[0]] if pos[0] < len(term_tokens) else None
-
-    def atom() -> _SVar | _SApp:
-        tok = peek()
+    atom(token) builds a leaf and is called on the leaves left to right;
+    app(left, right) builds an application.  One partial application is kept
+    per open parenthesis, so nesting depth costs no recursion.
+    """
+    stack: list = [None]  # None: no term started yet at this level
+    for tok in tokens:
         if tok == "(":
-            pos[0] += 1
-            t = term()
-            if peek() != ")":
-                raise ParseError("missing ')'")
-            pos[0] += 1
-            return t
-        if tok is not None and _IDENT_RE.fullmatch(tok):
-            pos[0] += 1
-            return _SVar(tok)
-        raise ParseError(f"expected a term, got {tok!r}" if tok else "expected a term")
-
-    def term() -> _SVar | _SApp:
-        t = atom()
-        while True:
-            tok = peek()
-            if tok is None or tok == ")":
-                return t
-            if tok == ",":
-                raise ParseError("',' not allowed in a term")
-            t = _SApp(t, atom())
-
-    result = term()
-    if pos[0] != len(term_tokens):
-        raise ParseError(f"unexpected token {term_tokens[pos[0]]!r} after term")
-    return names, result
-
-
-def _surface_occurrences(t: _SVar | _SApp) -> list[str]:
-    if isinstance(t, _SVar):
-        return [t.name]
-    return _surface_occurrences(t.left) + _surface_occurrences(t.right)
+            stack.append(None)
+            continue
+        if tok == ",":
+            raise ParseError("expected a term, got ','" if stack[-1] is None
+                             else "',' not allowed in a term")
+        if tok == ")":
+            if stack[-1] is None:
+                raise ParseError("expected a term, got ')'")
+            if len(stack) == 1:
+                raise ParseError("unexpected token ')' after term")
+            t = stack.pop()
+        else:
+            t = atom(tok)
+        stack[-1] = t if stack[-1] is None else app(stack[-1], t)
+    if stack[-1] is None:
+        raise ParseError("expected a term")
+    if len(stack) > 1:
+        raise ParseError("missing ')'")
+    return stack[0]
 
 
 def parse_with_constants(text: str) -> tuple[Sequent, tuple[str, ...]]:
@@ -279,23 +233,46 @@ def parse_with_constants(text: str) -> tuple[Sequent, tuple[str, ...]]:
     left-to-right occurrence order, so the declared variables shift up by the
     number of constant occurrences.  Returns the extended sequent and the
     constant names in slot order (one entry per occurrence, repeats allowed).
+
+    The term is parsed straight into its usage split: occurrence j becomes
+    Var j of a linear skeleton, and the table sending each occurrence to its
+    slot then acts on that skeleton.
     """
-    names, surface = _parse_surface(text)
-    constants = [n for n in _surface_occurrences(surface) if n not in names]
+    tokens = tokenize(text, _TOKEN_RE)
+    if tokens.count("|-") != 1:
+        raise ParseError("expected exactly one '|-'")
+    split = tokens.index("|-")
+    ctx_tokens, term_tokens = tokens[:split], tokens[split + 1:]
+
+    names: dict[str, int] = {}  # context name -> position, a dict so lookups are O(1)
+    expect_name = True
+    for tok in ctx_tokens:
+        if expect_name:
+            if not _IDENT_RE.fullmatch(tok):
+                raise ParseError(f"expected a variable name in the context, got {tok!r}")
+            if tok in names:
+                raise DuplicateContextVariable(f"duplicate context variable: {tok}")
+            names[tok] = len(names) + 1
+        else:
+            if tok != ",":
+                raise ParseError(f"expected ',' between context variables, got {tok!r}")
+        expect_name = not expect_name
+    if ctx_tokens and expect_name:
+        raise ParseError("trailing ',' in context")
+
+    occurrences: list[str] = []
+
+    def atom(name: str) -> Var:
+        occurrences.append(name)
+        return Var(len(occurrences))
+
+    skeleton = parse_applications(term_tokens, atom, App)
+    constants = tuple(name for name in occurrences if name not in names)
     k = len(constants)
-    index = {name: k + j + 1 for j, name in enumerate(names)}
-    slot = [0]
-
-    def build(t: _SVar | _SApp) -> PolyTerm:
-        if isinstance(t, _SVar):
-            if t.name in index:
-                return Var(index[t.name])
-            slot[0] += 1
-            return Var(slot[0])
-        return App(build(t.left), build(t.right))
-
-    term = build(surface)
-    return Sequent(k + len(names), term), tuple(constants)
+    slots = itertools.count(1)
+    table = tuple(k + names[name] if name in names else next(slots) for name in occurrences)
+    m = len(occurrences)
+    return act(Sequent(m, skeleton), FinFun(m, k + len(names), table)), constants
 
 
 def parse(text: str) -> Sequent:
@@ -306,24 +283,45 @@ def parse(text: str) -> Sequent:
     return s
 
 
+def format_applications(t, app: type, name: Callable) -> str:
+    """Juxtaposition with minimal parentheses: only an argument that is itself
+    an application (an instance of app) is parenthesized; name renders a leaf."""
+    parts: list[str] = []
+    stack: list = [t]  # terms to render and literal text, next on top
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        elif isinstance(node, app):
+            if isinstance(node.right, app):
+                stack += (")", node.right, "(", " ", node.left)
+            else:
+                stack += (node.right, " ", node.left)
+        else:
+            parts.append(name(node))
+    return "".join(parts)
+
+
 def format_sequent(s: Sequent) -> str:
     """Render with canonical names x1..xn."""
     names = [f"x{k}" for k in range(1, s.context_size + 1)]
-
-    def fmt(t: PolyTerm, rhs: bool) -> str:
-        if isinstance(t, Var):
-            return names[t.index - 1]
-        body = f"{fmt(t.left, False)} {fmt(t.right, True)}"
-        return f"({body})" if rhs else body
-
-    return f"{', '.join(names)} |- {fmt(s.term, False)}"
+    term = format_applications(s.term, App, lambda v: names[v.index - 1])
+    return f"{', '.join(names)} |- {term}"
 
 
 def format_bracketing(b: Bracketing) -> str:
     """Render a shape: '*' for a leaf, '(lr)' for a node."""
-    if isinstance(b, Leaf):
-        return "*"
-    return f"({format_bracketing(b.left)}{format_bracketing(b.right)})"
+    parts: list[str] = []
+    stack: list = [b]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        elif isinstance(node, Node):
+            stack += (")", node.right, node.left, "(")
+        else:
+            parts.append("*")
+    return "".join(parts)
 
 
 def all_bracketings(n: int) -> list[Bracketing]:

@@ -3,15 +3,23 @@
 Everything here recomputes results by a different route than the package:
 pointwise evaluation instead of table algebra, pairwise scans instead of set
 tricks, breadth-first closure instead of predicate tests, a rewrite of the
-whole term per reduction step instead of a spine-stack machine.  Tests compare the
-two routes, so a shared bug would have to be made twice in different shapes.
+whole term per reduction step instead of a spine-stack machine, a recursive
+parser through a named syntax tree instead of one stack parse straight into
+the usage split, and repeated leftmost contraction instead of one pass over
+the shape.  Tests compare the two routes, so a shared bug would have to be
+made twice in different shapes.
 """
 
 from __future__ import annotations
 
-from clubcomb import finord
+import re
+from dataclasses import dataclass
+
+from clubcomb import comb, finord, poly
 from clubcomb.comb import App, CombTerm, Prim, ReductionStatus, apply
+from clubcomb.errors import DuplicateContextVariable, ParseError, UndeclaredVariable
 from clubcomb.finord import Club, FinFun, Generator, GenKind
+from clubcomb.poly import Sequent, Var
 
 
 def universe(max_size: int) -> list[FinFun]:
@@ -161,3 +169,168 @@ def naive_normalize(t: CombTerm, fuel: int) -> tuple[CombTerm, int, ReductionSta
             return t, steps, ReductionStatus.FUEL_EXHAUSTED
         t = advanced
         steps += 1
+
+
+_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_TOKEN_RE = re.compile(r"\s*(\|-|[A-Za-z][A-Za-z0-9_]*|[(),])")
+
+
+def _tokenize(text: str) -> list[str]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            rest = text[pos:].lstrip()
+            if not rest:
+                break
+            raise ParseError(f"unexpected character {rest[0]!r}")
+        tokens.append(m.group(1))
+        pos = m.end()
+    return tokens
+
+
+@dataclass(frozen=True)
+class _SVar:
+    name: str
+
+
+@dataclass(frozen=True)
+class _SApp:
+    left: "_SVar | _SApp"
+    right: "_SVar | _SApp"
+
+
+def _parse_surface(text: str) -> tuple[list[str], _SVar | _SApp]:
+    """Parse to named form: (context names, surface term)."""
+    tokens = _tokenize(text)
+    if tokens.count("|-") != 1:
+        raise ParseError("expected exactly one '|-'")
+    split = tokens.index("|-")
+    ctx_tokens, term_tokens = tokens[:split], tokens[split + 1:]
+
+    names: list[str] = []
+    expect_name = True
+    for tok in ctx_tokens:
+        if expect_name:
+            if not _IDENT_RE.fullmatch(tok):
+                raise ParseError(f"expected a variable name in the context, got {tok!r}")
+            if tok in names:
+                raise DuplicateContextVariable(f"duplicate context variable: {tok}")
+            names.append(tok)
+        else:
+            if tok != ",":
+                raise ParseError(f"expected ',' between context variables, got {tok!r}")
+        expect_name = not expect_name
+    if ctx_tokens and expect_name:
+        raise ParseError("trailing ',' in context")
+
+    pos = [0]
+
+    def peek() -> str | None:
+        return term_tokens[pos[0]] if pos[0] < len(term_tokens) else None
+
+    def atom() -> _SVar | _SApp:
+        tok = peek()
+        if tok == "(":
+            pos[0] += 1
+            t = term()
+            if peek() != ")":
+                raise ParseError("missing ')'")
+            pos[0] += 1
+            return t
+        if tok is not None and _IDENT_RE.fullmatch(tok):
+            pos[0] += 1
+            return _SVar(tok)
+        raise ParseError(f"expected a term, got {tok!r}" if tok else "expected a term")
+
+    def term() -> _SVar | _SApp:
+        t = atom()
+        while True:
+            tok = peek()
+            if tok is None or tok == ")":
+                return t
+            if tok == ",":
+                raise ParseError("',' not allowed in a term")
+            t = _SApp(t, atom())
+
+    result = term()
+    if pos[0] != len(term_tokens):
+        raise ParseError(f"unexpected token {term_tokens[pos[0]]!r} after term")
+    return names, result
+
+
+def _surface_occurrences(t: _SVar | _SApp) -> list[str]:
+    if isinstance(t, _SVar):
+        return [t.name]
+    return _surface_occurrences(t.left) + _surface_occurrences(t.right)
+
+
+def naive_parse_with_constants(text: str) -> tuple[Sequent, tuple[str, ...]]:
+    """Parse, treating undeclared identifiers as constants.
+
+    Each constant occurrence gets its own fresh context slot, prepended in
+    left-to-right occurrence order, so the declared variables shift up by the
+    number of constant occurrences.  Returns the extended sequent and the
+    constant names in slot order (one entry per occurrence, repeats allowed).
+    """
+    names, surface = _parse_surface(text)
+    constants = [n for n in _surface_occurrences(surface) if n not in names]
+    k = len(constants)
+    index = {name: k + j + 1 for j, name in enumerate(names)}
+    slot = [0]
+
+    def build(t: _SVar | _SApp) -> poly.PolyTerm:
+        if isinstance(t, _SVar):
+            if t.name in index:
+                return Var(index[t.name])
+            slot[0] += 1
+            return Var(slot[0])
+        return poly.App(build(t.left), build(t.right))
+
+    term = build(surface)
+    return Sequent(k + len(names), term), tuple(constants)
+
+
+def naive_parse(text: str) -> Sequent:
+    """Parse 'x1,...,xn |- term'; every term identifier must be declared."""
+    s, constants = naive_parse_with_constants(text)
+    if constants:
+        raise UndeclaredVariable(f"undeclared variable: {constants[0]}")
+    return s
+
+
+def naive_compile_bracketing(b: poly.Bracketing) -> CombTerm:
+    """A closed B/I term computing the ordered linear polynomial of shape b.
+
+    A single occurrence is I.  Otherwise the leftmost node whose children are
+    both leaves covers occurrences i, i+1; contracting it to a leaf gives a
+    shorter shape with witness a, and B^(i-1) B a computes the original.
+    """
+    if isinstance(b, poly.Leaf):
+        return comb.I
+    contracted, i = _contract_leftmost(b)
+    inner = naive_compile_bracketing(contracted)
+    return comb.apply(comb.b_power(i - 1), [comb.B, inner])
+
+
+def _contract_leftmost(b: poly.Node) -> tuple[poly.Bracketing, int]:
+    """Replace the leftmost leaf-leaf node by a leaf; i is its first leaf's index."""
+
+    def rec(node: poly.Node, base: int) -> tuple[poly.Bracketing, int] | None:
+        left, right = node.left, node.right
+        if isinstance(left, poly.Leaf) and isinstance(right, poly.Leaf):
+            return poly.LEAF, base + 1
+        if isinstance(left, poly.Node):
+            got = rec(left, base)
+            if got is not None:
+                return poly.Node(got[0], right), got[1]
+        if isinstance(right, poly.Node):
+            got = rec(right, base + poly.length(left))
+            if got is not None:
+                return poly.Node(left, got[0]), got[1]
+        return None
+
+    got = rec(b, 0)
+    assert got is not None, "every node with two or more leaves contains a leaf-leaf node"
+    return got

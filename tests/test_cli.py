@@ -185,6 +185,29 @@ def test_eval_deeply_nested_parentheses():
     assert b"Traceback" not in r.stderr
 
 
+def left_comb(n):
+    names = [f"x{k}" for k in range(1, n + 1)]
+    return f"{','.join(names)} |- {' '.join(names)}"
+
+
+def test_compile_verifies_a_400_occurrence_left_comb(capsys):
+    assert cli.main(["compile", left_comb(400)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "verified: true" in lines
+    assert "steps: 799" in lines
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", left_comb(1500)],
+    ["compile", "--no-verify", left_comb(1500)],
+    ["analyze", "x |- " + "(" * 3000 + "x" + ")" * 3000],
+    ["analyze", left_comb(10**4)],
+], ids=["analyze-1500", "compile-no-verify-1500", "analyze-3000-parens", "analyze-10000"])
+def test_deep_inputs_succeed(argv, capsys):
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_missing_command_rejected():
     assert run_cli([]).returncode == 1
 

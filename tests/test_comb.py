@@ -254,6 +254,16 @@ def test_free_symbols_and_primitives():
     assert primitives(t) == frozenset({"B", "K"})
 
 
+def test_verify_compares_leaves_exactly():
+    s, constants = poly.parse_with_constants("x |- B x")
+    ok, _ = verify(App(I, Prim("B")), s, constants=constants)
+    assert not ok  # prints like the constant B, but is the primitive
+    ok, _ = verify(App(I, FreeSym("B")), s, constants=constants)
+    assert ok
+    ok, _ = verify(I, poly.parse("x |- x x"))
+    assert not ok  # the normal form is a leaf, the polynomial an application
+
+
 def test_prim_rejects_unknown_names():
     with pytest.raises(ValueError):
         Prim("S")

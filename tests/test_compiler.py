@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from clubcomb import comb, finord, poly
 from clubcomb.comb import App, B, C, I, K, W, FreeSym
@@ -42,6 +43,18 @@ def test_compile_bracketing_all_shapes_verify_over_b_and_i():
 def test_compile_bracketing_deterministic():
     shape = Node(Node(LEAF, LEAF), Node(LEAF, LEAF))
     assert compile_bracketing(shape) == compile_bracketing(shape)
+
+
+def test_compile_bracketing_matches_the_contraction_reference_on_all_small_shapes():
+    for n in range(1, 9):
+        for shape in poly.all_bracketings(n):
+            assert compile_bracketing(shape) == oracles.naive_compile_bracketing(shape)
+
+
+@given(st.recursive(st.just(LEAF), lambda c: st.tuples(c, c).map(lambda lr: Node(*lr)),
+                    max_leaves=60))
+def test_compile_bracketing_matches_the_contraction_reference(shape):
+    assert compile_bracketing(shape) == oracles.naive_compile_bracketing(shape)
 
 
 def test_lift_transposition_structure_and_behavior():

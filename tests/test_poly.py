@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from clubcomb import finord, poly
 from clubcomb.errors import (
     ArityMismatch,
+    ClubCombError,
     DuplicateContextVariable,
     ParseError,
     UndeclaredVariable,
@@ -29,6 +30,7 @@ from clubcomb.poly import (
     substitute,
     usage,
 )
+import oracles
 
 
 def seq(n, term):
@@ -272,3 +274,31 @@ def test_parse_with_constants_empty_context():
     s, consts = parse_with_constants("|- k")
     assert consts == ("k",)
     assert s == seq(1, Var(1))
+
+
+def _outcome(parser, text):
+    """The parser's result, or the type and message of the error it raised."""
+    try:
+        return parser(text)
+    except ClubCombError as e:
+        return type(e), str(e)
+
+
+token_strings = st.lists(
+    st.tuples(st.sampled_from(["", " "]),
+              st.sampled_from(["a", "b", "x", "x1", "y_2", "(", ")", ",", "|-"])),
+    max_size=14,
+).map(lambda pairs: "".join(sep + tok for sep, tok in pairs))
+
+
+@given(token_strings)
+def test_parse_matches_the_recursive_reference(text):
+    assert _outcome(parse_with_constants, text) == _outcome(oracles.naive_parse_with_constants, text)
+    assert _outcome(parse, text) == _outcome(oracles.naive_parse, text)
+
+
+@given(sequents(max_context=3))
+def test_parse_matches_the_recursive_reference_on_valid_input(s):
+    context, term = format_sequent(s).split(" |- ")
+    text = f"{context.partition(', ')[2]} |- {term}"  # x1 becomes a constant
+    assert parse_with_constants(text) == oracles.naive_parse_with_constants(text)
