@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 from . import poly
 from .errors import FuelExhausted
@@ -42,10 +43,7 @@ class FreeSym:
     name: str
 
 
-@dataclass(frozen=True)
-class App:
-    left: "CombTerm"
-    right: "CombTerm"
+class App(poly.Binary): __slots__ = ()
 
 
 CombTerm = Prim | FreeSym | App
@@ -160,12 +158,26 @@ def b_power(n: int) -> CombTerm:
     return t
 
 
+def _leaf_names(t: CombTerm, kind: type) -> frozenset[str]:
+    """The names of t's leaves of type kind."""
+    names: set[str] = set()
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        while type(node) is App:
+            stack.append(node.right)
+            node = node.left
+        if type(node) is kind:
+            names.add(node.name)
+    return frozenset(names)
+
+
 def free_symbols(t: CombTerm) -> frozenset[str]:
-    return frozenset(leaf.name for leaf in poly._leaves(t, App) if isinstance(leaf, FreeSym))
+    return _leaf_names(t, FreeSym)
 
 
 def primitives(t: CombTerm) -> frozenset[str]:
-    return frozenset(leaf.name for leaf in poly._leaves(t, App) if isinstance(leaf, Prim))
+    return _leaf_names(t, Prim)
 
 
 def fresh_symbols(count: int, avoid: frozenset[str]) -> list[FreeSym]:
@@ -209,6 +221,7 @@ def verify(
     return True, result.steps
 
 
+_name = attrgetter("name")
 _TOKEN_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|[()])")
 
 
@@ -227,4 +240,4 @@ def parse_comb(text: str) -> CombTerm:
 
 def format_comb(t: CombTerm) -> str:
     """Minimal-parenthesis rendering; parse_comb(format_comb(t)) == t."""
-    return poly.format_applications(t, App, lambda leaf: leaf.name)
+    return poly.format_applications(t, App, _name)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 from . import finord
 from .errors import (
@@ -29,15 +29,81 @@ from .errors import (
 from .finord import Club, FinFun
 
 
+class Binary:
+    """An immutable node with two children: the application of both term
+    languages, and the inner node of a bracketing.
+
+    Value semantics as a frozen dataclass with fields left and right, but in
+    slots, and with ==, hash and repr walking an explicit stack, so terms of
+    any depth compare, hash and print without recursion.  Two terms are
+    equal when they have the same node class at every node and equal leaves.
+    """
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        _set_left(self, left)
+        _set_right(self, right)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.left, self.right)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if isinstance(a, Binary) or isinstance(b, Binary):
+                if type(a) is not type(b):
+                    return False
+                stack += ((a.right, b.right), (a.left, b.left))
+            elif not a == b:
+                return False
+        return True
+
+    def __hash__(self):
+        return _rebuild(self, hash, _hash_pair)
+
+    def __repr__(self):
+        parts: list[str] = []
+        stack: list = [self]  # nodes to render and finished text, next on top
+        while stack:
+            x = stack.pop()
+            if type(x) is str:
+                parts.append(x)
+            else:
+                stack += (")", _repr_child(x.right), ", right=", _repr_child(x.left),
+                          f"{type(x).__qualname__}(left=")
+        return "".join(parts)
+
+
+_set_left = Binary.left.__set__
+_set_right = Binary.right.__set__
+
+
+def _hash_pair(left: int, right: int) -> int:
+    return hash((left, right))
+
+
+def _repr_child(x):
+    return x if isinstance(x, Binary) else repr(x)
+
+
 @dataclass(frozen=True)
 class Var:
     index: int  # 1-based position in the context
 
 
-@dataclass(frozen=True)
-class App:
-    left: "PolyTerm"
-    right: "PolyTerm"
+class App(Binary): __slots__ = ()
 
 
 PolyTerm = Var | App
@@ -66,10 +132,7 @@ class Leaf:
     pass
 
 
-@dataclass(frozen=True)
-class Node:
-    left: "Bracketing"
-    right: "Bracketing"
+class Node(Binary): __slots__ = ()
 
 
 Bracketing = Leaf | Node
@@ -90,12 +153,12 @@ class UsageDecomposition:
     usage: FinFun
 
 
-def _leaves(t, app=(App, Node)) -> Iterator:
-    """The leaves of a binary tree whose inner nodes are of type app, left to right."""
+def _leaves(t) -> Iterator:
+    """The leaves of a binary tree, left to right."""
     stack = [t]
     while stack:
         node = stack.pop()
-        if isinstance(node, app):
+        if isinstance(node, Binary):
             stack.append(node.right)
             stack.append(node.left)
         else:
@@ -114,7 +177,7 @@ def _rebuild(t, leaf: Callable, node: Callable = App):
         if x is None:
             right = done.pop()
             done.append(node(done.pop(), right))
-        elif isinstance(x, (App, Node)):
+        elif isinstance(x, Binary):
             stack += (None, x.right, x.left)
         else:
             done.append(leaf(x))
@@ -126,15 +189,27 @@ def _occurrences(t: PolyTerm) -> list[int]:
     return [v.index for v in _leaves(t)]
 
 
-def _skeleton(t: PolyTerm) -> Bracketing:
-    return _rebuild(t, lambda v: LEAF, Node)
-
-
 def usage(s: Sequent) -> UsageDecomposition:
-    """Split s into its linear skeleton and usage function."""
-    occ = _occurrences(s.term)
+    """Split s into its linear skeleton and usage function.
+
+    One post-order pass on an explicit stack reads the occurrences left to
+    right and builds the skeleton node for node.
+    """
+    occ: list[int] = []
+    done: list[Bracketing] = []
+    stack: list = [s.term]  # None marks a node whose two children are on done
+    while stack:
+        x = stack.pop()
+        if x is None:
+            right = done.pop()
+            done.append(Node(done.pop(), right))
+        elif type(x) is App:
+            stack += (None, x.right, x.left)
+        else:
+            occ.append(x.index)
+            done.append(LEAF)
     return UsageDecomposition(
-        skeleton=_skeleton(s.term),
+        skeleton=done[0],
         usage=FinFun(len(occ), s.context_size, tuple(occ)),
     )
 
@@ -285,20 +360,22 @@ def parse(text: str) -> Sequent:
 
 def format_applications(t, app: type, name: Callable) -> str:
     """Juxtaposition with minimal parentheses: only an argument that is itself
-    an application (an instance of app) is parenthesized; name renders a leaf."""
+    an application (of type app exactly) is parenthesized; name renders a leaf."""
     parts: list[str] = []
-    stack: list = [t]  # terms to render and literal text, next on top
+    stack: list = [t]  # terms to render and finished text, next on top
     while stack:
         node = stack.pop()
-        if isinstance(node, str):
+        if type(node) is str:
             parts.append(node)
-        elif isinstance(node, app):
-            if isinstance(node.right, app):
-                stack += (")", node.right, "(", " ", node.left)
+            continue
+        while type(node) is app:  # down the left spine, arguments onto the stack
+            right = node.right
+            if type(right) is app:
+                stack += (")", right, "(", " ")
             else:
-                stack += (node.right, " ", node.left)
-        else:
-            parts.append(name(node))
+                stack += (name(right), " ")
+            node = node.left
+        parts.append(name(node))
     return "".join(parts)
 
 

@@ -5,18 +5,20 @@ pointwise evaluation instead of table algebra, pairwise scans instead of set
 tricks, breadth-first closure instead of predicate tests, a rewrite of the
 whole term per reduction step instead of a spine-stack machine, a recursive
 parser through a named syntax tree instead of one stack parse straight into
-the usage split, and repeated leftmost contraction instead of one pass over
-the shape.  Tests compare the two routes, so a shared bug would have to be
-made twice in different shapes.
+the usage split, repeated leftmost contraction instead of one pass over
+the shape, and isinstance tests over a generic leaf walk instead of exact
+type dispatch.  Tests compare the two routes, so a shared bug would have to
+be made twice in different shapes.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from clubcomb import comb, finord, poly
-from clubcomb.comb import App, CombTerm, Prim, ReductionStatus, apply
+from clubcomb.comb import App, CombTerm, FreeSym, Prim, ReductionStatus, apply
 from clubcomb.errors import DuplicateContextVariable, ParseError, UndeclaredVariable
 from clubcomb.finord import Club, FinFun, Generator, GenKind
 from clubcomb.poly import Sequent, Var
@@ -334,3 +336,53 @@ def _contract_leftmost(b: poly.Node) -> tuple[poly.Bracketing, int]:
     got = rec(b, 0)
     assert got is not None, "every node with two or more leaves contains a leaf-leaf node"
     return got
+
+
+def _leaves(t, app=(poly.App, poly.Node)) -> Iterator:
+    """The leaves of a binary tree whose inner nodes are of type app, left to right."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, app):
+            stack.append(node.right)
+            stack.append(node.left)
+        else:
+            yield node
+
+
+def naive_free_symbols(t: CombTerm) -> frozenset[str]:
+    return frozenset(leaf.name for leaf in _leaves(t, App) if isinstance(leaf, FreeSym))
+
+
+def naive_primitives(t: CombTerm) -> frozenset[str]:
+    return frozenset(leaf.name for leaf in _leaves(t, App) if isinstance(leaf, Prim))
+
+
+def naive_format_applications(t, app: type, name: Callable) -> str:
+    """Juxtaposition with minimal parentheses: only an argument that is itself
+    an application (an instance of app) is parenthesized; name renders a leaf."""
+    parts: list[str] = []
+    stack: list = [t]  # terms to render and literal text, next on top
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        elif isinstance(node, app):
+            if isinstance(node.right, app):
+                stack += (")", node.right, "(", " ", node.left)
+            else:
+                stack += (node.right, " ", node.left)
+        else:
+            parts.append(name(node))
+    return "".join(parts)
+
+
+def naive_format_comb(t: CombTerm) -> str:
+    return naive_format_applications(t, App, lambda leaf: leaf.name)
+
+
+def naive_format_sequent(s: Sequent) -> str:
+    """Render with canonical names x1..xn."""
+    names = [f"x{k}" for k in range(1, s.context_size + 1)]
+    term = naive_format_applications(s.term, poly.App, lambda v: names[v.index - 1])
+    return f"{', '.join(names)} |- {term}"

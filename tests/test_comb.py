@@ -1,5 +1,9 @@
 """Combinator terms, reduction, and verification."""
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -28,6 +32,7 @@ from clubcomb.comb import (
     verify,
 )
 from clubcomb.errors import FuelExhausted, ParseError
+import oracles
 from oracles import naive_normalize
 
 
@@ -252,6 +257,59 @@ def test_free_symbols_and_primitives():
     t = apply(B, [FreeSym("a"), App(K, FreeSym("b"))])
     assert free_symbols(t) == frozenset({"a", "b"})
     assert primitives(t) == frozenset({"B", "K"})
+
+
+@given(st.recursive(
+    st.sampled_from([B, C, K, W, I, FreeSym("a"), FreeSym("B1"), FreeSym("v_2")]),
+    lambda c: st.tuples(c, c).map(lambda lr: App(*lr)),
+    max_leaves=16,
+))
+def test_leaf_walks_match_the_isinstance_reference(t):
+    assert format_comb(t) == oracles.naive_format_comb(t)
+    assert free_symbols(t) == oracles.naive_free_symbols(t)
+    assert primitives(t) == oracles.naive_primitives(t)
+
+
+def deep_chain(n, head, bottom):
+    """head (head (... (head bottom))): n applications down the right spine."""
+    t = bottom
+    for _ in range(n):
+        t = App(head, t)
+    return t
+
+
+def test_deep_terms_have_value_semantics():
+    n = 10**4
+    right_deep = deep_chain(n, FreeSym("f"), x)
+    assert right_deep == deep_chain(n, FreeSym("f"), FreeSym("x"))
+    assert hash(right_deep) == hash(deep_chain(n, FreeSym("f"), FreeSym("x")))
+    assert right_deep != deep_chain(n, FreeSym("f"), y)  # differs at the deepest leaf only
+    assert right_deep != deep_chain(n, FreeSym("f"), App(x, y))
+    left_deep = apply(x, [I] * n)
+    assert left_deep == apply(x, [I] * n) and hash(left_deep) == hash(apply(x, [I] * n))
+    assert left_deep != apply(y, [I] * n)
+    assert repr(right_deep).startswith("App(left=FreeSym(name='f'), right=App(left=")
+    assert repr(right_deep).endswith("right=FreeSym(name='x'))" + ")" * (n - 1))
+
+
+def test_comb_and_poly_applications_never_compare_equal():
+    assert App(B, I) != poly.App(B, I)
+    assert poly.App(B, I) != App(B, I)
+    assert App(x, App(y, z)) != App(x, poly.App(y, z))
+    assert deep_chain(10**4, x, y) != deep_chain(10**4, x, poly.App(y, y))
+
+
+def test_applications_are_immutable_values():
+    t = App(B, I)
+    with pytest.raises(FrozenInstanceError):
+        t.left = K
+    with pytest.raises(FrozenInstanceError):
+        del t.right
+    assert (t.left, t.right) == (B, I)
+    assert repr(t) == "App(left=Prim(name='B'), right=Prim(name='I'))"
+    assert App(left=B, right=I) == t and {t: 1}[App(B, I)] == 1
+    assert copy.copy(t) == t and copy.deepcopy(t) == t
+    assert pickle.loads(pickle.dumps(t)) == t
 
 
 def test_verify_compares_leaves_exactly():

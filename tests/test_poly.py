@@ -1,5 +1,7 @@
 """Polynomial terms: parsing, action, substitution, usage analysis."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -106,6 +108,40 @@ def test_format_sequent_roundtrip():
     s = parse("a,b,c |- a (b c) a")
     assert format_sequent(s) == "x1, x2, x3 |- x1 (x2 x3) x1"
     assert parse(format_sequent(s)) == s
+
+
+@given(sequents(max_context=5, max_leaves=16))
+def test_format_sequent_matches_the_isinstance_reference(s):
+    assert format_sequent(s) == oracles.naive_format_sequent(s)
+
+
+def test_deep_terms_shapes_and_sequents_have_value_semantics():
+    n = 10**4
+
+    def left_comb(node, first, rest):
+        t = first
+        for _ in range(n):
+            t = node(t, rest)
+        return t
+
+    term = left_comb(App, Var(1), Var(2))
+    assert term == left_comb(App, Var(1), Var(2))
+    assert hash(term) == hash(left_comb(App, Var(1), Var(2)))
+    assert term != left_comb(App, Var(2), Var(2))  # differs at the deepest leaf only
+    assert seq(2, term) == seq(2, left_comb(App, Var(1), Var(2)))
+    assert hash(seq(2, term)) == hash(seq(2, left_comb(App, Var(1), Var(2))))
+    assert seq(2, term) != seq(2, left_comb(App, Var(2), Var(2)))
+    shape = left_comb(Node, LEAF, LEAF)
+    assert shape == left_comb(Node, LEAF, LEAF)
+    assert hash(shape) == hash(left_comb(Node, LEAF, LEAF))
+    assert shape != left_comb(Node, Node(LEAF, LEAF), LEAF)
+    assert shape == usage(seq(2, term)).skeleton
+    assert shape != left_comb(App, LEAF, LEAF)  # same shape, another node class
+    with pytest.raises(FrozenInstanceError):
+        term.left = Var(1)
+    with pytest.raises(FrozenInstanceError):
+        shape.left = LEAF
+    assert repr(Node(LEAF, LEAF)) == "Node(left=Leaf(), right=Leaf())"
 
 
 def test_usage_examples():

@@ -1,0 +1,16 @@
+"""Checks on the package source itself."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "clubcomb"
+
+
+def test_package_source_has_no_assert_statements():
+    # python -O strips assert, so no check a user relies on may be one
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources, f"no sources under {PACKAGE}"
+    found = [f"{path.name}:{node.lineno}" for path in sources
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
