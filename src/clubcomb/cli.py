@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import attrgetter
 
 from . import comb, compiler, finord, poly
 from .errors import (
@@ -19,7 +20,6 @@ from .errors import (
     ClubCombError,
     ClubViolation,
     FuelExhausted,
-    NotInClub,
     ParseError,
 )
 from .finord import Club, FinFun
@@ -110,30 +110,46 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _usage_json(u: FinFun) -> dict:
-    return {"dom": u.dom, "cod": u.cod, "table": list(u.table)}
-
-
-def _generators_json(chain) -> list[dict]:
-    return [{"kind": g.kind.value, "n": g.n, "i": g.i} for g in chain]
-
-
 def _chain_text(chain) -> str:
     return " ".join(str(g) for g in chain) if chain else "(identity)"
 
 
-def _print_json(obj: dict) -> None:
-    print(json.dumps(obj))
+# Every output field, keyed as in the README's JSON schema: its JSON value and
+# its text form, both from the value the command computed.
+_FIELDS = {
+    "usage": (lambda u: {"dom": u.dom, "cod": u.cod, "table": list(u.table)},
+              finord.format_finfun),
+    "skeleton": (poly.format_bracketing, poly.format_bracketing),
+    "minimal_club": (attrgetter("value"), attrgetter("display")),
+    "club_used": (attrgetter("value"), attrgetter("display")),
+    "generators": (lambda chain: [{"kind": g.kind.value, "n": g.n, "i": g.i} for g in chain],
+                   _chain_text),
+    "term": (comb.format_comb, comb.format_comb),
+    "verified": (bool, json.dumps),
+    "steps": (int, str),
+    "error": (str, str),
+}
+
+
+def _emit(ns, *text: str, file=None, **fields) -> None:
+    """Print one record of ns.command; fields whose value is None are left out.
+
+    With --json: one object of command, input and the fields in the order
+    given.  Otherwise the given text lines on file (default stdout), or, when
+    none are given, one line `key: text` per field, underscores read as spaces.
+    """
+    fields = {k: v for k, v in fields.items() if v is not None}
+    if ns.json:
+        record = {"command": ns.command, "input": ns.input}
+        record.update((k, _FIELDS[k][0](v)) for k, v in fields.items())
+        print(json.dumps(record))
+    else:
+        lines = text or [f"{k.replace('_', ' ')}: {_FIELDS[k][1](v)}" for k, v in fields.items()]
+        print(*lines, sep="\n", file=file)
 
 
 def _fail(ns, code: int, message: str, minimal: Club | None = None) -> int:
-    if ns is not None and getattr(ns, "json", False):
-        obj: dict = {"command": ns.command, "input": ns.input, "error": message}
-        if minimal is not None:
-            obj["minimal_club"] = minimal.value
-        _print_json(obj)
-    else:
-        print(f"error: {message}", file=sys.stderr)
+    _emit(ns, f"error: {message}", file=sys.stderr, error=message, minimal_club=minimal)
     return code
 
 
@@ -146,22 +162,9 @@ def _parse_input(ns) -> tuple[poly.Sequent, tuple[str, ...]]:
 def _cmd_analyze(ns) -> int:
     s, _ = _parse_input(ns)
     dec = poly.usage(s)
-    minimal = finord.minimal_club(dec.usage)
-    skeleton = poly.format_bracketing(dec.skeleton)
-    if ns.json:
-        _print_json({
-            "command": "analyze",
-            "input": ns.input,
-            "usage": _usage_json(dec.usage),
-            "skeleton": skeleton,
-            "minimal_club": minimal.value,
-        })
-    else:
-        print(f"usage: {finord.format_finfun(dec.usage)}")
-        print(f"skeleton: {skeleton}")
-        print(f"minimal club: {minimal.display}")
-        print("diagram:")
-        print(render_diagram(dec.usage))
+    _emit(ns, usage=dec.usage, skeleton=dec.skeleton, minimal_club=finord.minimal_club(dec.usage))
+    if not ns.json:
+        print("diagram:", render_diagram(dec.usage), sep="\n")
     return EXIT_OK
 
 
@@ -169,56 +172,19 @@ def _cmd_compile(ns) -> int:
     club = Club(ns.club) if ns.club else None
     verify = not ns.no_verify
     s, constants = _parse_input(ns)
-    report = compiler.compile(s, club=club, verify=verify, fuel=ns.fuel, constants=constants)
-    if verify and not report.verified:
+    r = compiler.compile(s, club=club, verify=verify, fuel=ns.fuel, constants=constants)
+    if verify and not r.verified:
         return _fail(ns, EXIT_INTERNAL, "internal error: verification failed")
-    dec = poly.usage(report.input)
-    minimal = finord.minimal_club(report.usage)
-    skeleton = poly.format_bracketing(dec.skeleton)
-    term = comb.format_comb(report.output)
-    if ns.json:
-        obj = {
-            "command": "compile",
-            "input": ns.input,
-            "usage": _usage_json(report.usage),
-            "skeleton": skeleton,
-            "minimal_club": minimal.value,
-            "club_used": report.club_used.value,
-            "generators": _generators_json(report.generator_chain),
-            "term": term,
-        }
-        if verify:
-            obj["verified"] = report.verified
-            obj["steps"] = report.steps
-        _print_json(obj)
-    else:
-        print(f"usage: {finord.format_finfun(report.usage)}")
-        print(f"skeleton: {skeleton}")
-        print(f"minimal club: {minimal.display}")
-        print(f"club used: {report.club_used.display}")
-        print(f"generators: {_chain_text(report.generator_chain)}")
-        print(f"term: {term}")
-        if verify:
-            print(f"verified: {'true' if report.verified else 'false'}")
-            print(f"steps: {report.steps}")
+    _emit(ns, usage=r.usage, skeleton=r.skeleton, minimal_club=r.minimal_club,
+          club_used=r.club_used, generators=r.generator_chain, term=r.output,
+          **(dict(verified=r.verified, steps=r.steps) if verify else {}))
     return EXIT_OK
 
 
 def _cmd_eval(ns) -> int:
-    t = comb.parse_comb(ns.input)
-    result = comb.normalize(t, ns.fuel)
+    result = comb.normalize(comb.parse_comb(ns.input), ns.fuel)
     exhausted = result.status is comb.ReductionStatus.FUEL_EXHAUSTED
-    term = comb.format_comb(result.term)
-    if ns.json:
-        obj = {"command": "eval", "input": ns.input, "term": term, "steps": result.steps}
-        if exhausted:
-            obj["error"] = "FuelExhausted"
-        _print_json(obj)
-    else:
-        print(f"term: {term}")
-        print(f"steps: {result.steps}")
-        if exhausted:
-            print("error: FuelExhausted")
+    _emit(ns, term=result.term, steps=result.steps, error="FuelExhausted" if exhausted else None)
     return EXIT_FUEL if exhausted else EXIT_OK
 
 
@@ -232,26 +198,13 @@ def _cmd_factor(ns) -> int:
         recomposed = finord.compose(finord.make_generator(g), recomposed)
     if recomposed != f:
         return _fail(ns, EXIT_INTERNAL, "internal error: factor chain does not recompose to the input")
-    if ns.json:
-        _print_json({
-            "command": "factor",
-            "input": ns.input,
-            "usage": _usage_json(f),
-            "minimal_club": minimal.value,
-            "club_used": club.value,
-            "generators": _generators_json(chain),
-        })
-    else:
-        print(_chain_text(chain))
+    _emit(ns, _chain_text(chain), usage=f, minimal_club=minimal, club_used=club, generators=chain)
     return EXIT_OK
 
 
 def _cmd_diagram(ns) -> int:
     f = finord.parse_finfun(ns.input)
-    if ns.json:
-        _print_json({"command": "diagram", "input": ns.input, "usage": _usage_json(f)})
-    else:
-        print(render_diagram(f))
+    _emit(ns, render_diagram(f), usage=f)
     return EXIT_OK
 
 
@@ -276,11 +229,11 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[ns.command](ns)
     except (ParseError, ArityZero) as e:
         return _fail(ns, EXIT_USAGE, str(e))
-    except (NotInClub, ClubViolation) as e:
+    except ClubViolation as e:
         return _fail(ns, EXIT_CLUB, str(e), minimal=e.minimal)
     except FuelExhausted as e:
         return _fail(ns, EXIT_FUEL, str(e))
-    except (ClubCombError, AssertionError) as e:
+    except ClubCombError as e:
         return _fail(ns, EXIT_INTERNAL, f"internal error: {e}")
     except Exception as e:  # a bug, or a limit such as RecursionError: one line, no traceback
         return _fail(ns, EXIT_INTERNAL, f"internal error: {type(e).__name__}: {e}")

@@ -198,27 +198,19 @@ def verify(
 
     The first len(constants) slots of s stand for the named constant symbols,
     which candidate already contains; it is applied to fresh symbols for the
-    remaining slots (renamed away from its own free symbols) and its normal
-    form walked side by side with s's term: every application must meet an
-    application, and every Var i the i-th of constants and symbols.  Raises
-    FuelExhausted rather than returning a verdict when the budget runs out,
-    so a timeout is never mistaken for a disproof.
+    remaining slots (renamed away from its own free symbols), and its normal
+    form must equal (==) s's term with every Var i replaced by the i-th of
+    constants and symbols.  Raises FuelExhausted rather than returning a
+    verdict when the budget runs out, so a timeout is never mistaken for a
+    disproof.
     """
     syms = fresh_symbols(s.context_size - len(constants), free_symbols(candidate))
     slots = [FreeSym(name) for name in constants] + syms
     result = normalize(apply(candidate, syms), fuel)
     if result.status is ReductionStatus.FUEL_EXHAUSTED:
         raise FuelExhausted(f"no normal form within {result.steps} steps", steps=result.steps)
-    stack = [(result.term, s.term)]
-    while stack:
-        got, want = stack.pop()
-        if isinstance(want, poly.App):
-            if not isinstance(got, App):
-                return False, result.steps
-            stack += ((got.right, want.right), (got.left, want.left))
-        elif isinstance(got, App) or got != slots[want.index - 1]:
-            return False, result.steps
-    return True, result.steps
+    expected = poly._rebuild(s.term, lambda v: slots[v.index - 1], App)
+    return result.term == expected, result.steps
 
 
 _name = attrgetter("name")

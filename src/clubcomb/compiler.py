@@ -74,15 +74,20 @@ def lift(a: CombTerm, g: Generator) -> CombTerm:
 class CompileReport:
     """Everything the compiler decided and produced for one input.
 
-    output is the closed witness applied to the constant symbols, which
-    constants lists in slot order (empty outside constants mode); verified
-    and steps are comb.verify(output, input, fuel, constants).  Both are
-    False and 0 when verification was skipped.
+    skeleton and usage are the input's usage decomposition, minimal_club is
+    the smallest club containing usage, and club_used the club it was
+    factored in (minimal_club unless one was requested).  output is the
+    closed witness applied to the constant symbols, which constants lists in
+    slot order (empty outside constants mode); verified and steps are
+    comb.verify(output, input, fuel, constants).  Both are False and 0 when
+    verification was skipped.
     """
 
     input: poly.Sequent
     club_used: Club
     usage: FinFun
+    skeleton: poly.Bracketing
+    minimal_club: Club
     generator_chain: tuple[Generator, ...]
     output: CombTerm
     verified: bool
@@ -145,6 +150,8 @@ def compile(
         input=s,
         club_used=club_used,
         usage=u,
+        skeleton=dec.skeleton,
+        minimal_club=minimal,
         generator_chain=chain,
         output=output,
         verified=verified,

@@ -25,20 +25,12 @@ class CodomainMismatch(ClubCombError):
     """Copairing was attempted over functions with unequal codomains."""
 
 
-class NotInClub(ClubCombError):
-    """A finite function was asked to factor in a club it does not inhabit."""
+class ClubViolation(ClubCombError):
+    """A finite function (such as a polynomial's usage) lies outside the requested club."""
 
     def __init__(self, message: str, minimal):
         super().__init__(message)
         self.minimal = minimal  # the smallest club that does contain it
-
-
-class ClubViolation(ClubCombError):
-    """A polynomial's usage function lies outside the requested club."""
-
-    def __init__(self, message: str, minimal):
-        super().__init__(message)
-        self.minimal = minimal
 
 
 class ParseError(ClubCombError):

@@ -22,9 +22,9 @@ from typing import NamedTuple
 
 from .errors import (
     ArityMismatch,
+    ClubViolation,
     CodomainMismatch,
     IndexOutOfRange,
-    NotInClub,
     ParseError,
 )
 
@@ -290,7 +290,7 @@ def factor(f: FinFun, c: Club) -> list[Generator]:
     exactly, and every emitted generator lies in c whenever f does.
     """
     if not contains(c, f):
-        raise NotInClub(
+        raise ClubViolation(
             f"{format_finfun(f)} is not in {c.display}; "
             f"its minimal club is {minimal_club(f).display}",
             minimal=minimal_club(f),

@@ -9,9 +9,10 @@ import pytest
 
 from clubcomb import cli
 from clubcomb.finord import FinFun, identity, parse_finfun
-from cli_corpus import CASES
+from cli_corpus import CASES, JSON_CASES
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+ALL_CASES = CASES + JSON_CASES
 
 
 def run_cli(argv):
@@ -20,7 +21,7 @@ def run_cli(argv):
     )
 
 
-@pytest.mark.parametrize("name,argv,expected_exit", CASES, ids=[c[0] for c in CASES])
+@pytest.mark.parametrize("name,argv,expected_exit", ALL_CASES, ids=[c[0] for c in ALL_CASES])
 def test_golden_corpus(name, argv, expected_exit):
     r = run_cli(argv)
     assert r.returncode == expected_exit
@@ -28,12 +29,12 @@ def test_golden_corpus(name, argv, expected_exit):
 
 
 def test_corpus_is_deterministic_across_runs():
-    for name, argv, _ in CASES:
+    for name, argv, _ in ALL_CASES:
         assert run_cli(argv).stdout == run_cli(argv).stdout, name
 
 
 def test_in_process_main_matches_subprocess(capsys):
-    for name, argv, expected_exit in CASES:
+    for name, argv, expected_exit in ALL_CASES:
         assert cli.main(argv) == expected_exit, name
         out = capsys.readouterr().out.encode()
         assert out == (GOLDEN / f"{name}.out").read_bytes(), name

@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 from clubcomb import finord
 from clubcomb.errors import (
     ArityMismatch,
+    ClubViolation,
     CodomainMismatch,
     IndexOutOfRange,
-    NotInClub,
     ParseError,
 )
 from clubcomb.finord import (
@@ -355,7 +355,7 @@ def test_factor_identity_is_empty():
 
 def test_factor_rejects_outside_club():
     f = FinFun(3, 2, (2, 1, 1))
-    with pytest.raises(NotInClub) as exc:
+    with pytest.raises(ClubViolation) as exc:
         factor(f, Club.BIJ)
     assert exc.value.minimal is Club.SRJ
 
