@@ -83,13 +83,25 @@ def normalize(t: CombTerm, fuel: int = DEFAULT_FUEL) -> ReductionResult:
     root redex can reappear, so its arguments are normalized one after
     another, left to right.  That is leftmost-outermost order, so the steps
     counted, and the term returned when fuel runs out, are those of repeated
-    step.  Each step costs O(1) apart from unwinding, whatever the term size.
+    step.
+
+    One macro rule takes many root steps at once.  B^k z a x1 .. xk, with
+    B^k = b_power(k), needs 2k - 1 steps to reach z (a x1 .. xk); when z is a
+    primitive whose other arguments r.. are on the stack too, its own step
+    makes a the head again.  So when the head is B^k, recognised by its
+    shape in O(k), z is a primitive with all its arguments, and at least 2k
+    steps of fuel remain, the machine leaves x1 .. xk where they are, applies
+    z's rule to the r.. beneath them, makes a the head and counts 2k steps.
+    All 2k are root steps, so no other redex comes between them and the
+    order, the count and the normal form are those of single steps.  With
+    less fuel it takes single steps, so the term at exhaustion is too.
     """
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
     steps = 0
     frames: list[list] = []  # stuck heads: [head, pending args (first on top), normal args]
     head, args = t, []
+    seen = [None, 0, None]  # see _b_power_redex
     while True:
         while True:
             while type(head) is App:
@@ -100,21 +112,30 @@ def normalize(t: CombTerm, fuel: int = DEFAULT_FUEL) -> ReductionResult:
             if steps == fuel:
                 return ReductionResult(
                     _rebuild(head, args, frames), steps, ReductionStatus.FUEL_EXHAUSTED)
-            steps += 1
             name = head.name
-            head = args.pop()
+            k = _b_power_redex(args, fuel - steps, seen) if name == "B" else 0
+            if k:  # B^k z a x1..xk r.. -> a x1..xk r'..
+                i = len(args) - (4 if k > 1 else 2)  # a; above it z, and B^(k-1), B if k > 1
+                name = args[i + 1].name
+                head = args[i]
+                del args[i:]
+                steps += 2 * k
+                r = i - k - 1  # beneath x1..xk
+            else:
+                steps += 1
+                head = args.pop()
+                r = len(args) - 1
+            # the rule of z or of the head: its first argument is the head
+            # now, and its other arguments sit at r, r - 1, ...
             if name == "B":  # x y z -> x (y z)
-                y = args.pop()
-                args.append(App(y, args.pop()))
+                args[r - 1] = App(args[r], args[r - 1])
+                del args[r]
             elif name == "C":  # x y z -> x z y
-                y = args.pop()
-                z = args.pop()
-                args.append(y)
-                args.append(z)
+                args[r], args[r - 1] = args[r - 1], args[r]
             elif name == "K":  # x y -> x
-                args.pop()
+                del args[r]
             elif name == "W":  # x y -> x y y
-                args.append(args[-1])
+                args.insert(r, args[r])
         frames.append([head, args, []])
         while True:
             frame = frames[-1]
@@ -126,6 +147,42 @@ def normalize(t: CombTerm, fuel: int = DEFAULT_FUEL) -> ReductionResult:
             if not frames:
                 return ReductionResult(done, steps, ReductionStatus.NORMAL)
             frames[-1][2].append(done)
+
+
+def _is_b(t: CombTerm) -> bool:
+    return type(t) is Prim and t.name == "B"
+
+
+def _bb_spine(t: CombTerm) -> tuple[int, CombTerm]:
+    """(d, u) with t = B B (B B (... (B B u))), d levels, u not itself B B ·."""
+    d = 0
+    while type(t) is App and type(bb := t.left) is App and type(l := bb.left) is Prim \
+            and type(r := bb.right) is Prim and l.name == "B" and r.name == "B":
+        t, d = t.right, d + 1
+    return d, t
+
+
+def _b_power_redex(args: list[CombTerm], budget: int, seen: list) -> int:
+    """k if, under a head B, normalize's stack holds B^k z a x1..xk and the
+    other arguments of a primitive z, and 2k <= budget; otherwise 0.
+
+    The head B alone is B^1.  B B y is B^k when y is B^(k-1), that is when
+    y's right spine runs through k - 2 B B nodes and ends in B; only type and
+    name tests read it.  seen = [u, d, end] records u = (B B)^d end, one node
+    down the last spine read: when no macro fires, the steps taken instead
+    bring u up as the next B B head's y, so no spine is read once per level.
+    """
+    n = len(args)
+    if _is_b(args[-1]) and type(z := args[-3]) is Prim:  # B B y z a x1..xk r..
+        y = args[-2]
+        d, end = seen[1:] if y is seen[0] else _bb_spine(y)
+        if d:
+            seen[:] = y.right, d - 1, end
+        k = d + 2
+        if _is_b(end) and k <= min(n - 3 - _ARITY[z.name], budget // 2):
+            return k
+    z = args[-1]  # B z a x1 r..
+    return 1 if type(z) is Prim and n >= 2 + _ARITY[z.name] and budget >= 2 else 0
 
 
 def _rebuild(head: CombTerm, args: list[CombTerm], frames: list[list]) -> CombTerm:
@@ -180,12 +237,10 @@ def primitives(t: CombTerm) -> frozenset[str]:
     return _leaf_names(t, Prim)
 
 
-def fresh_symbols(count: int, avoid: frozenset[str]) -> list[FreeSym]:
-    """count symbols v1..vcount, doubling the prefix letter until clash-free."""
-    prefix = "v"
-    while any(f"{prefix}{k}" in avoid for k in range(1, count + 1)):
-        prefix += "v"
-    return [FreeSym(f"{prefix}{k}") for k in range(1, count + 1)]
+@dataclass(frozen=True)
+class _Slot(FreeSym):
+    """A symbol verify applies a candidate to.  The dataclass == compares
+    classes, so no FreeSym a candidate contains ever equals one."""
 
 
 def verify(
@@ -197,14 +252,13 @@ def verify(
     """Does candidate compute the polynomial s?  Returns (verdict, steps).
 
     The first len(constants) slots of s stand for the named constant symbols,
-    which candidate already contains; it is applied to fresh symbols for the
-    remaining slots (renamed away from its own free symbols), and its normal
-    form must equal (==) s's term with every Var i replaced by the i-th of
-    constants and symbols.  Raises FuelExhausted rather than returning a
-    verdict when the budget runs out, so a timeout is never mistaken for a
-    disproof.
+    which candidate already contains; it is applied to private symbols for
+    the remaining slots, and its normal form must equal (==) s's term with
+    every Var i replaced by the i-th of constants and symbols.  Raises
+    FuelExhausted rather than returning a verdict when the budget runs out,
+    so a timeout is never mistaken for a disproof.
     """
-    syms = fresh_symbols(s.context_size - len(constants), free_symbols(candidate))
+    syms = [_Slot(f"v{k}") for k in range(1, s.context_size - len(constants) + 1)]
     slots = [FreeSym(name) for name in constants] + syms
     result = normalize(apply(candidate, syms), fuel)
     if result.status is ReductionStatus.FUEL_EXHAUSTED:

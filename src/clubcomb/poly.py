@@ -371,9 +371,9 @@ def format_applications(t, app: type, name: Callable) -> str:
         while type(node) is app:  # down the left spine, arguments onto the stack
             right = node.right
             if type(right) is app:
-                stack += (")", right, "(", " ")
+                stack += (")", right, " (")
             else:
-                stack += (name(right), " ")
+                stack.append(" " + name(right))
             node = node.left
         parts.append(name(node))
     return "".join(parts)

@@ -13,6 +13,7 @@ be made twice in different shapes.
 
 from __future__ import annotations
 
+import random
 import re
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -171,6 +172,17 @@ def naive_normalize(t: CombTerm, fuel: int) -> tuple[CombTerm, int, ReductionSta
             return t, steps, ReductionStatus.FUEL_EXHAUSTED
         t = advanced
         steps += 1
+
+
+def naive_normalize_each_fuel(t: CombTerm, max_fuel: int) -> Iterator[tuple]:
+    """naive_normalize(t, fuel) for fuel = 1..max_fuel, read off one run of
+    naive_step: min(fuel, S) steps are taken, S the steps to normal form."""
+    done, advanced = 0, naive_step(t)
+    for _ in range(max_fuel):
+        if advanced is not None:
+            t, done, advanced = advanced, done + 1, naive_step(advanced)
+        status = ReductionStatus.NORMAL if advanced is None else ReductionStatus.FUEL_EXHAUSTED
+        yield t, done, status
 
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -348,6 +360,34 @@ def _leaves(t, app=(poly.App, poly.Node)) -> Iterator:
             stack.append(node.left)
         else:
             yield node
+
+
+def prim_leaves(t: CombTerm) -> int:
+    """The number of primitive occurrences in t."""
+    return sum(isinstance(leaf, Prim) for leaf in _leaves(t, App))
+
+
+def ladder_shape(kind: str, n: int, rng: random.Random) -> poly.Bracketing:
+    """A left comb, right comb or random shape with n leaves (random splits)."""
+    if kind == "random":
+        if n == 1:
+            return poly.LEAF
+        k = rng.randint(1, n - 1)
+        return poly.Node(ladder_shape(kind, k, rng), ladder_shape(kind, n - k, rng))
+    b: poly.Bracketing = poly.LEAF
+    for _ in range(n - 1):
+        b = poly.Node(b, poly.LEAF) if kind == "left" else poly.Node(poly.LEAF, b)
+    return b
+
+
+def ladder_usage(kind: str, n: int, rng: random.Random) -> FinFun:
+    """The identity or the reversal on n occurrences, or random into n // 2 slots."""
+    if kind == "identity":
+        return FinFun(n, n, tuple(range(1, n + 1)))
+    if kind == "reversal":
+        return FinFun(n, n, tuple(range(n, 0, -1)))
+    ctx = max(1, n // 2)
+    return FinFun(n, ctx, tuple(rng.randint(1, ctx) for _ in range(n)))
 
 
 def naive_free_symbols(t: CombTerm) -> frozenset[str]:

@@ -1,13 +1,15 @@
 """Combinator terms, reduction, and verification."""
 
 import copy
+import itertools
 import pickle
+import random
 from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from clubcomb import compiler, poly
+from clubcomb import comb, compiler, poly
 from clubcomb.comb import (
     App,
     B,
@@ -24,7 +26,6 @@ from clubcomb.comb import (
     b_power,
     format_comb,
     free_symbols,
-    fresh_symbols,
     normalize,
     parse_comb,
     primitives,
@@ -120,6 +121,65 @@ def test_normalize_agrees_with_naive_step_loop(t, fuel):
     assert (r.term, r.steps, r.status) == naive_normalize(t, fuel)
 
 
+def assert_agrees_with_naive_at_every_fuel(t, max_fuel):
+    for fuel, expected in enumerate(oracles.naive_normalize_each_fuel(t, max_fuel), 1):
+        r = normalize(t, fuel)
+        assert (r.term, r.steps, r.status) == expected, fuel
+    assert expected == naive_normalize(t, max_fuel)
+
+
+_POWERS = [b_power(k) for k in range(1, 6)]
+
+
+# Spines whose head is often some B^k and whose first argument is often a
+# primitive, so that B^k z a x1..xk r.. redexes, whole or cut short, are common.
+@settings(max_examples=200)
+@given(
+    st.recursive(
+        st.sampled_from([B, C, K, W, I, FreeSym("p"), FreeSym("q")] + _POWERS),
+        lambda c: st.builds(
+            lambda head, z, rest: apply(head, [z, *rest]),
+            st.sampled_from(_POWERS) | c,
+            st.sampled_from([B, C, K, W, I]) | c,
+            st.lists(c, max_size=8),
+        ),
+        max_leaves=16,
+    ),
+)
+def test_b_power_macro_agrees_with_naive_step_loop_at_every_fuel(t):
+    assert_agrees_with_naive_at_every_fuel(t, 80)
+
+
+def test_b_power_macro_agrees_on_compiled_witnesses_at_every_fuel():
+    rng = random.Random(7)
+    for n, shape, usage in itertools.product((8, 12, 16), ("left", "right", "random"),
+                                             ("identity", "reversal", "random")):
+        s = poly.act(poly.linear(oracles.ladder_shape(shape, n, rng)),
+                     oracles.ladder_usage(usage, n, rng))
+        report = compiler.compile(s)
+        w = apply(report.output, syms(*[f"v{k}" for k in range(1, s.context_size + 1)]))
+        assert_agrees_with_naive_at_every_fuel(w, report.steps + 1)
+
+
+def test_b_power_spine_is_read_once_per_chain(monkeypatch):
+    # where the macro cannot fire, single steps bring the B B nodes of a long
+    # chain to the head one after another; the chain is walked only once
+    walked = []
+    spine = comb._bb_spine
+    monkeypatch.setattr(comb, "_bb_spine", lambda t: walked.append(t) or spine(t))
+    m = 300
+    v = syms(*[f"v{k}" for k in range(1, m + 3)])
+    ends_in_x = FreeSym("x")
+    for _ in range(m):
+        ends_in_x = apply(B, [B, ends_in_x])
+    for t in [apply(ends_in_x, [K, FreeSym("a"), *v]),  # not a B-power
+              apply(b_power(m), [K, FreeSym("a"), *v[:m - 5]])]:  # too few arguments
+        walked.clear()
+        r = normalize(t)
+        assert (r.term, r.steps, r.status) == naive_normalize(t, DEFAULT_FUEL)
+        assert len(walked) == 1
+
+
 def test_normalize_deep_terms_without_recursion():
     n = 10**4
     t = FreeSym("x")
@@ -208,13 +268,6 @@ def test_verify_avoids_captured_symbol_names():
     candidate = App(K, FreeSym("v1"))  # behaves as: arg -> v1
     ok, _ = verify(candidate, poly.parse("x |- x"))
     assert ok is False
-
-
-def test_fresh_symbols_rename_on_collision():
-    plain = fresh_symbols(2, frozenset())
-    assert [s.name for s in plain] == ["v1", "v2"]
-    bumped = fresh_symbols(2, frozenset({"v2"}))
-    assert [s.name for s in bumped] == ["vv1", "vv2"]
 
 
 def test_parse_comb_examples():

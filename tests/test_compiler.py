@@ -1,6 +1,7 @@
 """Compilation: bracketing witnesses, generator lifts, and the full pipeline."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -196,6 +197,27 @@ def test_compile_exhaustive_small_soundness():
         assert report.verified, poly.format_sequent(s)
         assert comb.primitives(report.output) <= finord.basis(report.club_used)
         assert oracles.recompose(report.generator_chain, report.usage.dom) == report.usage
+
+
+def test_steps_count_the_witness_primitives():
+    # every primitive of a compiled witness fires exactly once in verification
+    rng = random.Random(3)
+    inputs = [
+        poly.act(poly.linear(shape), oracles.ladder_usage(usage, n, rng))
+        for n in range(1, 8)
+        for shape in poly.all_bracketings(n)
+        for usage in ("identity", "reversal", "random")
+    ]
+    for _ in range(40):
+        n = rng.randint(1, 40)
+        inputs.append(poly.act(
+            poly.linear(oracles.ladder_shape(rng.choice(("left", "right", "random")), n, rng)),
+            oracles.ladder_usage(rng.choice(("identity", "reversal", "random")), n, rng),
+        ))
+    for s in inputs:
+        report = compile(s)
+        assert report.verified
+        assert report.steps == oracles.prim_leaves(report.output), poly.format_sequent(s)
 
 
 @pytest.mark.parametrize("club", list(Club))
