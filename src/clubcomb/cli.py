@@ -81,8 +81,9 @@ _FLAGS = {
     "--club": dict(choices=_CLUB_NAMES, default=None,
                    help="work in this club instead of the minimal one"),
     "--no-verify": dict(action="store_true", help="skip verification of compiled terms"),
-    "--fuel": dict(type=int, default=comb.DEFAULT_FUEL,
-                   help="reduction step budget (default %(default)s)"),
+    "--fuel": dict(type=int, default=None,
+                   help="reduction step budget (default: for compile the witness's "
+                        f"primitive count, for eval {comb.DEFAULT_FUEL})"),
     "--json": dict(action="store_true", help="emit one JSON object"),
     "--constants": dict(action="store_true",
                         help="treat undeclared identifiers as constants"),
@@ -182,7 +183,8 @@ def _cmd_compile(ns) -> int:
 
 
 def _cmd_eval(ns) -> int:
-    result = comb.normalize(comb.parse_comb(ns.input), ns.fuel)
+    fuel = comb.DEFAULT_FUEL if ns.fuel is None else ns.fuel
+    result = comb.normalize(comb.parse_comb(ns.input), fuel)
     exhausted = result.status is comb.ReductionStatus.FUEL_EXHAUSTED
     _emit(ns, term=result.term, steps=result.steps, error="FuelExhausted" if exhausted else None)
     return EXIT_FUEL if exhausted else EXIT_OK
@@ -223,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_OK
-    if "fuel" in ns and ns.fuel < 1:
+    if getattr(ns, "fuel", None) is not None and ns.fuel < 1:
         return _fail(ns, EXIT_USAGE, "fuel must be at least 1")
     try:
         return _COMMANDS[ns.command](ns)

@@ -53,6 +53,7 @@ C = Prim("C")
 K = Prim("K")
 W = Prim("W")
 I = Prim("I")
+_PRIMS = {p.name: p for p in (B, C, K, W, I)}
 
 
 def apply(t: CombTerm, args: list[CombTerm] | tuple[CombTerm, ...]) -> CombTerm:
@@ -89,19 +90,20 @@ def normalize(t: CombTerm, fuel: int = DEFAULT_FUEL) -> ReductionResult:
     B^k = b_power(k), needs 2k - 1 steps to reach z (a x1 .. xk); when z is a
     primitive whose other arguments r.. are on the stack too, its own step
     makes a the head again.  So when the head is B^k, recognised by its
-    shape in O(k), z is a primitive with all its arguments, and at least 2k
-    steps of fuel remain, the machine leaves x1 .. xk where they are, applies
-    z's rule to the r.. beneath them, makes a the head and counts 2k steps.
-    All 2k are root steps, so no other redex comes between them and the
-    order, the count and the normal form are those of single steps.  With
-    less fuel it takes single steps, so the term at exhaustion is too.
+    shape in O(k) (_bb_spine), z is a primitive with all its arguments, and
+    at least 2k steps of fuel remain, the machine leaves x1 .. xk where they
+    are, applies z's rule to the r.. beneath them, makes a the head and
+    counts 2k steps.  All 2k are root steps, so no other redex comes between
+    them and the order, the count and the normal form are those of single
+    steps.  With less fuel it takes single steps, so the term at exhaustion
+    is too.
     """
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
     steps = 0
     frames: list[list] = []  # stuck heads: [head, pending args (first on top), normal args]
     head, args = t, []
-    seen = [None, 0, None]  # see _b_power_redex
+    seen = [None, 0, None]  # see _read_spine
     while True:
         while True:
             while type(head) is App:
@@ -149,17 +151,33 @@ def normalize(t: CombTerm, fuel: int = DEFAULT_FUEL) -> ReductionResult:
             frames[-1][2].append(done)
 
 
-def _is_b(t: CombTerm) -> bool:
-    return type(t) is Prim and t.name == "B"
-
-
 def _bb_spine(t: CombTerm) -> tuple[int, CombTerm]:
-    """(d, u) with t = B B (B B (... (B B u))), d levels, u not itself B B ·."""
+    """(d, u) with t = B B (B B (... (B B u))), d levels, u not itself B B ·.
+
+    Only the module's own B counts (an identity test): terms built by b_power
+    and parse_comb hold nothing else.  A spine through other Prim("B")
+    objects ends where they begin, and a power read short is handled as a
+    term of no special shape, with the same result.
+    """
     d = 0
-    while type(t) is App and type(bb := t.left) is App and type(l := bb.left) is Prim \
-            and type(r := bb.right) is Prim and l.name == "B" and r.name == "B":
+    while type(t) is App and type(bb := t.left) is App and bb.left is B and bb.right is B:
         t, d = t.right, d + 1
     return d, t
+
+
+def _read_spine(t: CombTerm, seen: list) -> tuple[int, CombTerm]:
+    """_bb_spine(t), through a one-node memo seen = [u, d, end] of one caller.
+
+    seen records u = (B B)^d end, one node down the last spine read.  Both
+    callers go on to read that node next when t is not a power of B (the
+    reducer's single steps bring it up as the next head's argument, the
+    printer meets it as the next argument), so no chain is read once per
+    level.
+    """
+    d, end = seen[1:] if t is seen[0] else _bb_spine(t)
+    if d:
+        seen[:] = t.right, d - 1, end
+    return d, end
 
 
 def _b_power_redex(args: list[CombTerm], budget: int, seen: list) -> int:
@@ -167,19 +185,13 @@ def _b_power_redex(args: list[CombTerm], budget: int, seen: list) -> int:
     other arguments of a primitive z, and 2k <= budget; otherwise 0.
 
     The head B alone is B^1.  B B y is B^k when y is B^(k-1), that is when
-    y's right spine runs through k - 2 B B nodes and ends in B; only type and
-    name tests read it.  seen = [u, d, end] records u = (B B)^d end, one node
-    down the last spine read: when no macro fires, the steps taken instead
-    bring u up as the next B B head's y, so no spine is read once per level.
+    y's right spine runs through k - 2 B B nodes and ends in B (_bb_spine).
     """
     n = len(args)
-    if _is_b(args[-1]) and type(z := args[-3]) is Prim:  # B B y z a x1..xk r..
-        y = args[-2]
-        d, end = seen[1:] if y is seen[0] else _bb_spine(y)
-        if d:
-            seen[:] = y.right, d - 1, end
+    if args[-1] is B and type(z := args[-3]) is Prim:  # B B y z a x1..xk r..
+        d, end = _read_spine(args[-2], seen)
         k = d + 2
-        if _is_b(end) and k <= min(n - 3 - _ARITY[z.name], budget // 2):
+        if end is B and k <= min(n - 3 - _ARITY[z.name], budget // 2):
             return k
     z = args[-1]  # B z a x1 r..
     return 1 if type(z) is Prim and n >= 2 + _ARITY[z.name] and budget >= 2 else 0
@@ -275,15 +287,28 @@ def parse_comb(text: str) -> CombTerm:
     """Parse juxtaposition syntax: 'B x (y z)'.
 
     The five uppercase single letters B, C, K, W, I are primitives; any
-    other identifier is a free symbol.
+    other identifier is a free symbol.  Primitives are the module's own
+    B, C, K, W, I, so a parsed power of B is read as one by _bb_spine.
     """
     return poly.parse_applications(
         poly.tokenize(text, _TOKEN_RE),
-        lambda tok: Prim(tok) if tok in PRIM_NAMES else FreeSym(tok),
+        lambda tok: _PRIMS.get(tok) or FreeSym(tok),
         App,
     )
 
 
 def format_comb(t: CombTerm) -> str:
-    """Minimal-parenthesis rendering; parse_comb(format_comb(t)) == t."""
-    return poly.format_applications(t, App, _name)
+    """Minimal-parenthesis rendering; parse_comb(format_comb(t)) == t.
+
+    An argument B^k with k >= 2 (read by _bb_spine) is printed in one piece,
+    B B (B B (... (B B B))): the text the node-by-node walk gives it.
+    """
+    seen = [None, 0, None]
+
+    def power_text(a: CombTerm) -> str | None:
+        d, end = _read_spine(a, seen)
+        if end is B and d:
+            return "B B (" * (d - 1) + "B B B" + ")" * (d - 1)
+        return None
+
+    return poly.format_applications(t, App, _name, power_text)

@@ -21,9 +21,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import comb, finord, poly
-from .comb import CombTerm, FreeSym
-from .errors import ArityMismatch, ArityZero, ClubViolation
+from .comb import App, CombTerm, FreeSym
+from .errors import ArityMismatch, ArityZero, ClubViolation, FuelExhausted, StepCountMismatch
 from .finord import Club, FinFun, GenKind, Generator
+
+
+def _contractions(b: poly.Bracketing):
+    """The right turns from the root to each node of b, in reverse post-order."""
+    stack = [(b, 0)]  # (subtree, right turns from the root)
+    while stack:
+        node, turns = stack.pop()
+        if type(node) is poly.Node:
+            yield turns
+            stack += ((node.left, turns), (node.right, turns + 1))
 
 
 def compile_bracketing(b: poly.Bracketing) -> CombTerm:
@@ -39,13 +49,14 @@ def compile_bracketing(b: poly.Bracketing) -> CombTerm:
     to the last contraction, so the nodes are read in reverse post-order.
     """
     term = comb.I
-    stack = [(b, 0)]  # (subtree, right turns from the root)
-    while stack:
-        node, turns = stack.pop()
-        if isinstance(node, poly.Node):
-            term = comb.apply(comb.b_power(turns), [comb.B, term])
-            stack += ((node.left, turns), (node.right, turns + 1))
+    for turns in _contractions(b):
+        term = App(App(comb.b_power(turns), comb.B), term)
     return term
+
+
+def _added_leaves(k: int) -> int:
+    """The primitive leaves B^k P a has beyond a's: B^k has max(2k - 1, 1)."""
+    return 2 * k if k else 2
 
 
 # The primitive each generator family lifts through, and the arity a witness
@@ -57,17 +68,20 @@ _LIFTS: dict[GenKind, tuple[CombTerm, int]] = {
 }
 
 
-def lift(a: CombTerm, g: Generator) -> CombTerm:
+def lift(a: CombTerm, g: Generator, arity: int | None = None) -> CombTerm:
     """From a witness a of f (arity g.n + offset) to one of f o g: B^(i-1) P a.
 
     P is C for a transposition, K for a face (the new witness discards its
     i-th argument) and W for a degeneracy.  The face d(1,1) would need a
-    witness of arity 0, which no polynomial has.
+    witness of arity 0, which no polynomial has.  Given a's arity, raises
+    ArityMismatch unless it is the one g needs.
     """
     prim, offset = _LIFTS[g.kind]
+    if arity is not None and arity != g.n + offset:
+        raise ArityMismatch(f"cannot lift a {arity}-argument witness along {g}")
     if g.n + offset == 0:
         raise ArityZero("cannot lift a face into a one-argument witness")
-    return comb.apply(comb.b_power(g.i - 1), [prim, a])
+    return App(App(comb.b_power(g.i - 1), prim), a)
 
 
 @dataclass(frozen=True)
@@ -79,7 +93,8 @@ class CompileReport:
     factored in (minimal_club unless one was requested).  output is the
     closed witness applied to the constant symbols, which constants lists in
     slot order (empty outside constants mode); verified and steps are
-    comb.verify(output, input, fuel, constants).  Both are False and 0 when
+    comb.verify(output, input, fuel, constants), with the witness's primitive
+    count for fuel when none is given.  Both are False and 0 when
     verification was skipped.
     """
 
@@ -99,7 +114,7 @@ def compile(
     s: poly.Sequent,
     club: Club | None = None,
     verify: bool = True,
-    fuel: int = comb.DEFAULT_FUEL,
+    fuel: int | None = None,
     constants: tuple[str, ...] = (),
 ) -> CompileReport:
     """Compile s over the given club (default: its minimal club).
@@ -112,6 +127,13 @@ def compile(
     Raises ClubViolation when the usage function is not in the club, and
     ArityZero when no variables remain (no valid polynomial has an empty
     context, but inputs arriving through constants preprocessing can).
+
+    Every primitive of the witness fires exactly once when it is verified, so
+    the fold counts them (B^k has max(2k - 1, 1), and each lift or
+    contraction adds one) and a verification that takes any other number of
+    steps raises StepCountMismatch.  With fuel None that count is the
+    reduction budget, and running out of it is the same mismatch; a given
+    fuel that runs out raises FuelExhausted.
     """
     n_vars = s.context_size - len(constants)
     if n_vars < 0:
@@ -133,19 +155,29 @@ def compile(
         )
     chain = tuple(finord.factor(u, club_used))
 
-    term = compile_bracketing(dec.skeleton)
+    skeleton = dec.skeleton
+    term = compile_bracketing(skeleton)
+    leaves = 1 + sum(_added_leaves(turns) for turns in _contractions(skeleton))
     arity = u.dom
     for g in chain:
-        if arity != g.n + _LIFTS[g.kind][1]:
-            raise ArityMismatch(f"cannot lift a {arity}-argument witness along {g}")
-        term = lift(term, g)
+        term = lift(term, g, arity)
+        leaves += _added_leaves(g.i - 1)
         arity = g.n
     if arity != s.context_size:
         raise ArityMismatch(f"the chain lands on {arity} arguments, not {s.context_size}")
     output = comb.apply(term, [FreeSym(name) for name in constants])
     verified, steps = False, 0
     if verify:
-        verified, steps = comb.verify(output, s, fuel, constants)
+        try:
+            verified, steps = comb.verify(output, s, leaves if fuel is None else fuel, constants)
+        except FuelExhausted as e:
+            if fuel is not None:
+                raise
+            raise StepCountMismatch(
+                f"verification took more steps than the witness's {leaves} primitives") from e
+        if steps != leaves:
+            raise StepCountMismatch(
+                f"verification took {steps} steps; the witness has {leaves} primitives")
     return CompileReport(
         input=s,
         club_used=club_used,

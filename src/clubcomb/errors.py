@@ -49,6 +49,10 @@ class ArityZero(ClubCombError):
     """A compilation was requested for a polynomial with no arguments."""
 
 
+class StepCountMismatch(ClubCombError):
+    """Verifying a compiled witness did not take one step per primitive."""
+
+
 class FuelExhausted(ClubCombError):
     """Reduction did not reach a normal form within the step budget."""
 

@@ -358,9 +358,13 @@ def parse(text: str) -> Sequent:
     return s
 
 
-def format_applications(t, app: type, name: Callable) -> str:
+def format_applications(t, app: type, name: Callable, arg: Callable | None = None) -> str:
     """Juxtaposition with minimal parentheses: only an argument that is itself
-    an application (of type app exactly) is parenthesized; name renders a leaf."""
+    an application (of type app exactly) is parenthesized; name renders a leaf.
+
+    arg, if given, may render such an argument in one piece: it returns the
+    text to parenthesize, or None to leave the argument to the walk.
+    """
     parts: list[str] = []
     stack: list = [t]  # terms to render and finished text, next on top
     while stack:
@@ -371,7 +375,11 @@ def format_applications(t, app: type, name: Callable) -> str:
         while type(node) is app:  # down the left spine, arguments onto the stack
             right = node.right
             if type(right) is app:
-                stack += (")", right, " (")
+                text = arg and arg(right)
+                if text is None:
+                    stack += (")", right, " (")
+                else:
+                    stack.append(f" ({text})")
             else:
                 stack.append(" " + name(right))
             node = node.left

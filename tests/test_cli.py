@@ -198,6 +198,38 @@ def test_compile_verifies_a_400_occurrence_left_comb(capsys):
     assert "steps: 799" in lines
 
 
+def test_compile_default_budget_is_the_witness_primitive_count(capsys):
+    # 1,103,197 steps: past eval's flat 10^6, which used to end this with exit 3
+    names = [f"x{k}" for k in range(1, 151)]
+    text = f"{','.join(names)} |- {' '.join(reversed(names))}"
+    assert cli.main(["compile", text]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "verified: true" in lines
+    assert "steps: 1103197" in lines
+    # a given --fuel keeps its meaning: this witness has 5 primitives
+    assert cli.main(["compile", "--fuel", "4", "x1,x2,x3 |- x1 (x2 x3)"]) == 3
+    assert capsys.readouterr().err == "error: no normal form within 4 steps\n"
+    assert cli.main(["compile", "--fuel", "5", "x1,x2,x3 |- x1 (x2 x3)"]) == 0
+
+
+def test_verification_off_the_primitive_count_is_internal_error(monkeypatch, capsys):
+    normalize = cli.comb.normalize
+
+    def one_step_short(t, fuel):
+        r = normalize(t, fuel)
+        return cli.comb.ReductionResult(r.term, r.steps - 1, r.status)
+
+    monkeypatch.setattr(cli.comb, "normalize", one_step_short)
+    assert cli.main(["compile", "x1,x2,x3 |- x1 (x2 x3)"]) == 4
+    assert capsys.readouterr().err == (
+        "error: internal error: verification took 4 steps; the witness has 5 primitives\n")
+    # the same count is the budget: a witness that needs more steps runs out of it
+    monkeypatch.setattr(cli.comb, "normalize", lambda t, fuel: normalize(t, fuel - 1))
+    assert cli.main(["compile", "--json", "x1,x2,x3 |- x1 (x2 x3)"]) == 4
+    assert json.loads(capsys.readouterr().out)["error"] == (
+        "internal error: verification took more steps than the witness's 5 primitives")
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", left_comb(1500)],
     ["compile", "--no-verify", left_comb(1500)],

@@ -150,6 +150,55 @@ def test_b_power_macro_agrees_with_naive_step_loop_at_every_fuel(t):
     assert_agrees_with_naive_at_every_fuel(t, 80)
 
 
+def fresh_power(k, fresh_from=1):
+    """b_power(k) whose B leaves from level fresh_from down are new Prim("B")
+    objects, equal to comb.B but not it: _bb_spine reads the chain only down
+    to them, so the reducer and the printer must fall back to the generic
+    path there and give the same result."""
+    def b(level):
+        return Prim("B") if level >= fresh_from else B
+
+    t = b(k)
+    for level in range(k - 1, 0, -1):
+        t = App(App(b(level), b(level)), t)
+    return t
+
+
+_FRESH_POWERS = [fresh_power(k, j) for k in range(1, 6) for j in (1, 2, k)]
+
+
+def test_fresh_powers_equal_the_singleton_powers():
+    for k in range(1, 6):
+        for j in range(1, k + 1):
+            assert fresh_power(k, j) == b_power(k)
+    assert fresh_power(3).left.left is not B and fresh_power(3, 3).left.left is B
+
+
+@settings(max_examples=200)
+@given(
+    st.recursive(
+        st.sampled_from([B, C, K, W, I, FreeSym("p"), FreeSym("q")] + _FRESH_POWERS),
+        lambda c: st.builds(
+            lambda head, z, rest: apply(head, [z, *rest]),
+            st.sampled_from(_FRESH_POWERS + _POWERS) | c,
+            st.sampled_from([B, C, K, W, I, Prim("B")]) | c,
+            st.lists(c, max_size=8),
+        ),
+        max_leaves=16,
+    ),
+)
+def test_b_power_macro_falls_back_on_powers_of_other_b_objects(t):
+    assert_agrees_with_naive_at_every_fuel(t, 80)
+
+
+def test_parse_comb_returns_the_module_primitives():
+    for prim in (B, C, K, W, I):
+        assert parse_comb(prim.name) is prim
+    power = parse_comb("B B (B B (B B B))")
+    assert power == b_power(4)
+    assert comb._bb_spine(power) == (3, B)  # read whole, down to the module's B
+
+
 def test_b_power_macro_agrees_on_compiled_witnesses_at_every_fuel():
     rng = random.Random(7)
     for n, shape, usage in itertools.product((8, 12, 16), ("left", "right", "random"),
@@ -304,6 +353,61 @@ def test_format_comb_minimal_parens():
 ))
 def test_format_parse_roundtrip(t):
     assert parse_comb(format_comb(t)) == t
+
+
+def bb_chain(d, end):
+    """B B (B B (... (B B end))): d levels over end."""
+    for _ in range(d):
+        end = App(App(B, B), end)
+    return end
+
+
+# Powers of B whole, built from other Prim("B") objects, and cut short: a
+# B B spine ending in C, a symbol or an application, or a B C node inside.
+_PRINTED_ATOMS = (
+    [b_power(k) for k in range(1, 7)]
+    + [fresh_power(k, j) for k in range(2, 7) for j in (1, 2, k)]
+    + [bb_chain(d, end) for d in range(1, 5)
+       for end in (C, FreeSym("p"), App(C, FreeSym("p")), App(B, B))]
+    + [bb_chain(d, App(App(B, C), b_power(k))) for d in (1, 3) for k in (1, 2, 4)]
+    + [App(App(B, Prim("B")), b_power(3)), App(App(Prim("B"), B), b_power(2))]
+)
+
+
+@settings(max_examples=300)
+@given(st.recursive(
+    st.sampled_from([B, C, K, W, I, Prim("B"), FreeSym("p"), FreeSym("q")] + _PRINTED_ATOMS),
+    lambda c: st.tuples(c, c).map(lambda lr: App(*lr)),
+    max_leaves=12,
+))
+def test_format_comb_prints_powers_of_b_whole_as_the_walk_does(t):
+    text = format_comb(t)
+    assert text == oracles.naive_format_comb(t)
+    assert parse_comb(text) == t
+
+
+def test_format_comb_matches_the_walk_on_compiled_witnesses():
+    rng = random.Random(11)
+    for n, shape, usage in itertools.product((8, 12, 16), ("left", "right", "random"),
+                                             ("identity", "reversal", "random")):
+        s = poly.act(poly.linear(oracles.ladder_shape(shape, n, rng)),
+                     oracles.ladder_usage(usage, n, rng))
+        w = compiler.compile(s, verify=False).output
+        text = format_comb(w)
+        assert text == oracles.naive_format_comb(w)
+        assert parse_comb(text) == w
+
+
+def test_format_comb_reads_a_long_broken_chain_once(monkeypatch):
+    walked = []
+    spine = comb._bb_spine
+    monkeypatch.setattr(comb, "_bb_spine", lambda t: walked.append(t) or spine(t))
+    m = 300
+    for end in (FreeSym("x"), App(C, FreeSym("x"))):
+        walked.clear()
+        t = App(FreeSym("f"), bb_chain(m, end))
+        assert format_comb(t) == oracles.naive_format_comb(t)
+        assert len(walked) <= 2
 
 
 def test_free_symbols_and_primitives():
