@@ -81,9 +81,8 @@ _FLAGS = {
     "--club": dict(choices=_CLUB_NAMES, default=None,
                    help="work in this club instead of the minimal one"),
     "--no-verify": dict(action="store_true", help="skip verification of compiled terms"),
-    "--fuel": dict(type=int, default=None,
-                   help="reduction step budget (default: for compile the witness's "
-                        f"primitive count, for eval {comb.DEFAULT_FUEL})"),
+    "--fuel": dict(type=int, default=comb.DEFAULT_FUEL,
+                   help=f"reduction step budget (default: {comb.DEFAULT_FUEL})"),
     "--json": dict(action="store_true", help="emit one JSON object"),
     "--constants": dict(action="store_true",
                         help="treat undeclared identifiers as constants"),
@@ -93,7 +92,7 @@ _SUBCOMMANDS = {
     "analyze": ("print the usage decomposition and minimal club of a polynomial",
                 ("--json", "--constants")),
     "compile": ("compile a polynomial to a combinator term over a club's basis",
-                ("--club", "--no-verify", "--fuel", "--json", "--constants")),
+                ("--club", "--no-verify", "--json", "--constants")),
     "eval": ("reduce a combinator term to normal form", ("--fuel", "--json")),
     "factor": ("factor a finite function into club generators", ("--club", "--json")),
     "diagram": ("draw a finite function as dots and lines", ("--json",)),
@@ -171,20 +170,16 @@ def _cmd_analyze(ns) -> int:
 
 def _cmd_compile(ns) -> int:
     club = Club(ns.club) if ns.club else None
-    verify = not ns.no_verify
     s, constants = _parse_input(ns)
-    r = compiler.compile(s, club=club, verify=verify, fuel=ns.fuel, constants=constants)
-    if verify and not r.verified:
-        return _fail(ns, EXIT_INTERNAL, "internal error: verification failed")
+    r = compiler.compile(s, club=club, verify=not ns.no_verify, constants=constants)
     _emit(ns, usage=r.usage, skeleton=r.skeleton, minimal_club=r.minimal_club,
           club_used=r.club_used, generators=r.generator_chain, term=r.output,
-          **(dict(verified=r.verified, steps=r.steps) if verify else {}))
+          **(dict(verified=r.verified, steps=r.steps) if r.verified else {}))
     return EXIT_OK
 
 
 def _cmd_eval(ns) -> int:
-    fuel = comb.DEFAULT_FUEL if ns.fuel is None else ns.fuel
-    result = comb.normalize(comb.parse_comb(ns.input), fuel)
+    result = comb.normalize(comb.parse_comb(ns.input), ns.fuel)
     exhausted = result.status is comb.ReductionStatus.FUEL_EXHAUSTED
     _emit(ns, term=result.term, steps=result.steps, error="FuelExhausted" if exhausted else None)
     return EXIT_FUEL if exhausted else EXIT_OK
@@ -225,7 +220,7 @@ def main(argv: list[str] | None = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_OK
-    if getattr(ns, "fuel", None) is not None and ns.fuel < 1:
+    if getattr(ns, "fuel", 1) < 1:
         return _fail(ns, EXIT_USAGE, "fuel must be at least 1")
     try:
         return _COMMANDS[ns.command](ns)

@@ -229,16 +229,7 @@ def b_power(n: int) -> CombTerm:
 
 def _leaf_names(t: CombTerm, kind: type) -> frozenset[str]:
     """The names of t's leaves of type kind."""
-    names: set[str] = set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        while type(node) is App:
-            stack.append(node.right)
-            node = node.left
-        if type(node) is kind:
-            names.add(node.name)
-    return frozenset(names)
+    return frozenset(x.name for x in poly._leaves(t) if type(x) is kind)
 
 
 def free_symbols(t: CombTerm) -> frozenset[str]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from . import comb, finord, poly
 from .comb import App, CombTerm, FreeSym
-from .errors import ArityMismatch, ArityZero, ClubViolation, FuelExhausted, StepCountMismatch
+from .errors import ArityMismatch, ArityZero, ClubViolation, FuelExhausted, VerificationFailed
 from .finord import Club, FinFun, GenKind, Generator
 
 
@@ -92,10 +92,10 @@ class CompileReport:
     the smallest club containing usage, and club_used the club it was
     factored in (minimal_club unless one was requested).  output is the
     closed witness applied to the constant symbols, which constants lists in
-    slot order (empty outside constants mode); verified and steps are
-    comb.verify(output, input, fuel, constants), with the witness's primitive
-    count for fuel when none is given.  Both are False and 0 when
-    verification was skipped.
+    slot order (empty outside constants mode).  verified says whether output
+    was checked by reduction (compile returns no witness that failed its
+    check), and steps is the step count of that check, the witness's
+    primitive count; they are False and 0 when verification was skipped.
     """
 
     input: poly.Sequent
@@ -114,7 +114,6 @@ def compile(
     s: poly.Sequent,
     club: Club | None = None,
     verify: bool = True,
-    fuel: int | None = None,
     constants: tuple[str, ...] = (),
 ) -> CompileReport:
     """Compile s over the given club (default: its minimal club).
@@ -128,12 +127,13 @@ def compile(
     ArityZero when no variables remain (no valid polynomial has an empty
     context, but inputs arriving through constants preprocessing can).
 
-    Every primitive of the witness fires exactly once when it is verified, so
-    the fold counts them (B^k has max(2k - 1, 1), and each lift or
-    contraction adds one) and a verification that takes any other number of
-    steps raises StepCountMismatch.  With fuel None that count is the
-    reduction budget, and running out of it is the same mismatch; a given
-    fuel that runs out raises FuelExhausted.
+    With verify, the witness is checked by comb.verify and compile is its
+    only judge: it returns a report only when the check passed, and raises
+    VerificationFailed otherwise.  Every primitive of the witness fires
+    exactly once when it is verified, so the fold counts them (B^k has
+    max(2k - 1, 1), and each lift or contraction adds one) and that count is
+    the exact reduction budget.  Running out of it, taking any other number
+    of steps, or reaching a normal form other than the input's all fail.
     """
     n_vars = s.context_size - len(constants)
     if n_vars < 0:
@@ -166,18 +166,18 @@ def compile(
     if arity != s.context_size:
         raise ArityMismatch(f"the chain lands on {arity} arguments, not {s.context_size}")
     output = comb.apply(term, [FreeSym(name) for name in constants])
-    verified, steps = False, 0
+    steps = 0
     if verify:
         try:
-            verified, steps = comb.verify(output, s, leaves if fuel is None else fuel, constants)
+            correct, steps = comb.verify(output, s, leaves, constants)
         except FuelExhausted as e:
-            if fuel is not None:
-                raise
-            raise StepCountMismatch(
+            raise VerificationFailed(
                 f"verification took more steps than the witness's {leaves} primitives") from e
         if steps != leaves:
-            raise StepCountMismatch(
+            raise VerificationFailed(
                 f"verification took {steps} steps; the witness has {leaves} primitives")
+        if not correct:
+            raise VerificationFailed("verification failed")
     return CompileReport(
         input=s,
         club_used=club_used,
@@ -186,7 +186,7 @@ def compile(
         minimal_club=minimal,
         generator_chain=chain,
         output=output,
-        verified=verified,
+        verified=verify,
         steps=steps,
         constants=tuple(constants),
     )

@@ -49,8 +49,8 @@ class ArityZero(ClubCombError):
     """A compilation was requested for a polynomial with no arguments."""
 
 
-class StepCountMismatch(ClubCombError):
-    """Verifying a compiled witness did not take one step per primitive."""
+class VerificationFailed(ClubCombError):
+    """A compiled witness failed its check by reduction."""
 
 
 class FuelExhausted(ClubCombError):

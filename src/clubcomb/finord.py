@@ -134,14 +134,10 @@ class Generator:
 
     def __post_init__(self):
         if self.kind is GenKind.TRANSPOSITION:
-            if self.n <= 1 or not 1 <= self.i < self.n:
-                raise IndexOutOfRange(f"t({self.n},{self.i}) needs 1 <= i < n, n > 1")
-        elif self.kind is GenKind.DEGENERACY:
-            if self.n < 1 or not 1 <= self.i <= self.n:
-                raise IndexOutOfRange(f"s({self.n},{self.i}) needs 1 <= i <= n")
-        else:
-            if self.n < 1 or not 1 <= self.i <= self.n:
-                raise IndexOutOfRange(f"d({self.n},{self.i}) needs 1 <= i <= n")
+            if not 1 <= self.i < self.n:
+                raise IndexOutOfRange(f"{self} needs 1 <= i < n, n > 1")
+        elif not 1 <= self.i <= self.n:
+            raise IndexOutOfRange(f"{self} needs 1 <= i <= n")
 
     def __str__(self) -> str:
         short = {GenKind.TRANSPOSITION: "t", GenKind.DEGENERACY: "s", GenKind.FACE: "d"}

@@ -192,26 +192,17 @@ def _occurrences(t: PolyTerm) -> list[int]:
 def usage(s: Sequent) -> UsageDecomposition:
     """Split s into its linear skeleton and usage function.
 
-    One post-order pass on an explicit stack reads the occurrences left to
-    right and builds the skeleton node for node.
+    One _rebuild pass reads the occurrences left to right and builds the
+    skeleton node for node.
     """
     occ: list[int] = []
-    done: list[Bracketing] = []
-    stack: list = [s.term]  # None marks a node whose two children are on done
-    while stack:
-        x = stack.pop()
-        if x is None:
-            right = done.pop()
-            done.append(Node(done.pop(), right))
-        elif type(x) is App:
-            stack += (None, x.right, x.left)
-        else:
-            occ.append(x.index)
-            done.append(LEAF)
-    return UsageDecomposition(
-        skeleton=done[0],
-        usage=FinFun(len(occ), s.context_size, tuple(occ)),
-    )
+
+    def leaf(v: Var) -> Leaf:
+        occ.append(v.index)
+        return LEAF
+
+    skeleton = _rebuild(s.term, leaf, Node)
+    return UsageDecomposition(skeleton, FinFun(len(occ), s.context_size, tuple(occ)))
 
 
 def linear(b: Bracketing) -> Sequent:

@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
-from clubcomb import cli
+from clubcomb import cli, compiler
+from clubcomb.errors import VerificationFailed
 from clubcomb.finord import FinFun, identity, parse_finfun
+from clubcomb.poly import parse
 from cli_corpus import CASES, JSON_CASES
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -131,6 +133,7 @@ def test_unknown_flag_rejected():
     ["factor", "--constants", "1->1:[1]"],
     ["factor", "--fuel", "5", "1->1:[1]"],
     ["diagram", "--club", "fun", "1->1:[1]"],
+    ["compile", "--fuel", "5", "x |- x"],
 ])
 def test_flags_a_subcommand_does_not_use_are_rejected(argv, capsys):
     assert cli.main(argv) == 1
@@ -206,10 +209,6 @@ def test_compile_default_budget_is_the_witness_primitive_count(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "verified: true" in lines
     assert "steps: 1103197" in lines
-    # a given --fuel keeps its meaning: this witness has 5 primitives
-    assert cli.main(["compile", "--fuel", "4", "x1,x2,x3 |- x1 (x2 x3)"]) == 3
-    assert capsys.readouterr().err == "error: no normal form within 4 steps\n"
-    assert cli.main(["compile", "--fuel", "5", "x1,x2,x3 |- x1 (x2 x3)"]) == 0
 
 
 def test_verification_off_the_primitive_count_is_internal_error(monkeypatch, capsys):
@@ -230,6 +229,17 @@ def test_verification_off_the_primitive_count_is_internal_error(monkeypatch, cap
         "internal error: verification took more steps than the witness's 5 primitives")
 
 
+def test_wrong_normal_form_is_internal_error(monkeypatch, capsys):
+    # the right step count but a wrong verdict: compile raises, it never reports
+    monkeypatch.setattr(cli.comb, "verify", lambda *args: (False, 5))
+    with pytest.raises(VerificationFailed, match="^verification failed$"):
+        compiler.compile(parse("x1,x2,x3 |- x1 (x2 x3)"))
+    assert cli.main(["compile", "x1,x2,x3 |- x1 (x2 x3)"]) == 4
+    assert capsys.readouterr() == ("", "error: internal error: verification failed\n")
+    assert cli.main(["compile", "--json", "x1,x2,x3 |- x1 (x2 x3)"]) == 4
+    assert json.loads(capsys.readouterr().out)["error"] == "internal error: verification failed"
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", left_comb(1500)],
     ["compile", "--no-verify", left_comb(1500)],
@@ -248,9 +258,8 @@ def test_missing_command_rejected():
 def test_bad_fuel_rejected(capsys):
     r = run_cli(["eval", "--fuel", "0", "I I"])
     assert r.returncode == 1
-    for command, text in [("compile", "x |- x"), ("eval", "I a")]:
-        assert cli.main([command, "--json", "--fuel", "0", text]) == 1
-        assert json.loads(capsys.readouterr().out)["error"] == "fuel must be at least 1"
+    assert cli.main(["eval", "--json", "--fuel", "0", "I a"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "fuel must be at least 1"
 
 
 def test_malformed_finfun_is_usage_error():

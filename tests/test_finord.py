@@ -167,14 +167,16 @@ def test_make_generator_tables():
 
 
 def test_generator_index_validation():
-    with pytest.raises(IndexOutOfRange):
-        transposition(1, 1)
-    with pytest.raises(IndexOutOfRange):
-        transposition(3, 3)
-    with pytest.raises(IndexOutOfRange):
-        degeneracy(2, 3)
-    with pytest.raises(IndexOutOfRange):
-        face(2, 0)
+    for make, n, i, message in [
+        (transposition, 1, 1, "t(1,1) needs 1 <= i < n, n > 1"),
+        (transposition, 3, 3, "t(3,3) needs 1 <= i < n, n > 1"),
+        (degeneracy, 2, 3, "s(2,3) needs 1 <= i <= n"),
+        (degeneracy, 0, 1, "s(0,1) needs 1 <= i <= n"),
+        (face, 2, 0, "d(2,0) needs 1 <= i <= n"),
+    ]:
+        with pytest.raises(IndexOutOfRange) as e:
+            make(n, i)
+        assert str(e.value) == message
 
 
 def test_generator_notation():
