@@ -88,21 +88,10 @@ _FLAGS = {
                         help="treat undeclared identifiers as constants"),
 }
 
-_SUBCOMMANDS = {
-    "analyze": ("print the usage decomposition and minimal club of a polynomial",
-                ("--json", "--constants")),
-    "compile": ("compile a polynomial to a combinator term over a club's basis",
-                ("--club", "--no-verify", "--json", "--constants")),
-    "eval": ("reduce a combinator term to normal form", ("--fuel", "--json")),
-    "factor": ("factor a finite function into club generators", ("--club", "--json")),
-    "diagram": ("draw a finite function as dots and lines", ("--json",)),
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="clubcomb", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, flags) in _SUBCOMMANDS.items():
+    for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("input", help="the input string")
         for flag in flags:
@@ -205,12 +194,15 @@ def _cmd_diagram(ns) -> int:
     return EXIT_OK
 
 
+# Each subcommand: its handler, its help text and the flags it takes.
 _COMMANDS = {
-    "analyze": _cmd_analyze,
-    "compile": _cmd_compile,
-    "eval": _cmd_eval,
-    "factor": _cmd_factor,
-    "diagram": _cmd_diagram,
+    "analyze": (_cmd_analyze, "print the usage decomposition and minimal club of a polynomial",
+                ("--json", "--constants")),
+    "compile": (_cmd_compile, "compile a polynomial to a combinator term over a club's basis",
+                ("--club", "--no-verify", "--json", "--constants")),
+    "eval": (_cmd_eval, "reduce a combinator term to normal form", ("--fuel", "--json")),
+    "factor": (_cmd_factor, "factor a finite function into club generators", ("--club", "--json")),
+    "diagram": (_cmd_diagram, "draw a finite function as dots and lines", ("--json",)),
 }
 
 
@@ -223,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(ns, "fuel", 1) < 1:
         return _fail(ns, EXIT_USAGE, "fuel must be at least 1")
     try:
-        return _COMMANDS[ns.command](ns)
+        return _COMMANDS[ns.command][0](ns)
     except (ParseError, ArityZero) as e:
         return _fail(ns, EXIT_USAGE, str(e))
     except ClubViolation as e:

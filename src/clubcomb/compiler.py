@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from . import comb, finord, poly
 from .comb import App, CombTerm, FreeSym
 from .errors import ArityMismatch, ArityZero, ClubViolation, FuelExhausted, VerificationFailed
-from .finord import Club, FinFun, GenKind, Generator
+from .finord import Club, FinFun, Generator
 
 
 def _contractions(b: poly.Bracketing):
@@ -59,29 +59,18 @@ def _added_leaves(k: int) -> int:
     return 2 * k if k else 2
 
 
-# The primitive each generator family lifts through, and the arity a witness
-# must have before lifting along g, relative to g.n (it has g.n after).
-_LIFTS: dict[GenKind, tuple[CombTerm, int]] = {
-    GenKind.TRANSPOSITION: (comb.C, 0),
-    GenKind.FACE: (comb.K, -1),
-    GenKind.DEGENERACY: (comb.W, 1),
-}
-
-
-def lift(a: CombTerm, g: Generator, arity: int | None = None) -> CombTerm:
-    """From a witness a of f (arity g.n + offset) to one of f o g: B^(i-1) P a.
+def lift(a: CombTerm, g: Generator) -> CombTerm:
+    """From a witness a of f (arity g.dom) to one of f o g: B^(i-1) P a.
 
     P is C for a transposition, K for a face (the new witness discards its
     i-th argument) and W for a degeneracy.  The face d(1,1) would need a
-    witness of arity 0, which no polynomial has.  Given a's arity, raises
-    ArityMismatch unless it is the one g needs.
+    witness of arity 0, which no polynomial has.
     """
-    prim, offset = _LIFTS[g.kind]
-    if arity is not None and arity != g.n + offset:
-        raise ArityMismatch(f"cannot lift a {arity}-argument witness along {g}")
+    _, name, offset = finord._FAMILIES[g.kind]
     if g.n + offset == 0:
         raise ArityZero("cannot lift a face into a one-argument witness")
-    return App(App(comb.b_power(g.i - 1), prim), a)
+    # comb's own C, K or W, never a fresh Prim: every lift shares one leaf object
+    return App(App(comb.b_power(g.i - 1), getattr(comb, name)), a)
 
 
 @dataclass(frozen=True)
@@ -160,7 +149,9 @@ def compile(
     leaves = 1 + sum(_added_leaves(turns) for turns in _contractions(skeleton))
     arity = u.dom
     for g in chain:
-        term = lift(term, g, arity)
+        if arity != g.dom:
+            raise ArityMismatch(f"cannot lift a {arity}-argument witness along {g}")
+        term = lift(term, g)
         leaves += _added_leaves(g.i - 1)
         arity = g.n
     if arity != s.context_size:

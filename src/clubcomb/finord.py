@@ -119,6 +119,17 @@ class GenKind(Enum):
     FACE = "face"
 
 
+# Each generator family, keyed in Classification order by the property its
+# generators break, so a club admits them once it drops that requirement
+# (degeneracies duplicate points, faces drop points, transpositions break
+# order): its letter, the combinator it lifts through, and its domain minus n.
+_FAMILIES: dict[GenKind, tuple[str, str, int]] = {
+    GenKind.DEGENERACY: ("s", "W", 1),
+    GenKind.FACE: ("d", "K", -1),
+    GenKind.TRANSPOSITION: ("t", "C", 0),
+}
+
+
 @dataclass(frozen=True)
 class Generator:
     """One of the three generator families, identified by kind and indices.
@@ -140,8 +151,12 @@ class Generator:
             raise IndexOutOfRange(f"{self} needs 1 <= i <= n")
 
     def __str__(self) -> str:
-        short = {GenKind.TRANSPOSITION: "t", GenKind.DEGENERACY: "s", GenKind.FACE: "d"}
-        return f"{short[self.kind]}({self.n},{self.i})"
+        return f"{_FAMILIES[self.kind][0]}({self.n},{self.i})"
+
+    @property
+    def dom(self) -> int:
+        """The size of the generator's domain; its codomain is n."""
+        return self.n + _FAMILIES[self.kind][2]
 
 
 def transposition(n: int, i: int) -> Generator:
@@ -158,13 +173,15 @@ def face(n: int, i: int) -> Generator:
 
 def make_generator(g: Generator) -> FinFun:
     """The finite function a generator denotes."""
+    points = range(1, g.dom + 1)
     if g.kind is GenKind.TRANSPOSITION:
-        table = list(range(1, g.n + 1))
+        table = list(points)
         table[g.i - 1], table[g.i] = table[g.i], table[g.i - 1]
-        return FinFun(g.n, g.n, tuple(table))
-    if g.kind is GenKind.DEGENERACY:
-        return FinFun(g.n + 1, g.n, tuple(x if x <= g.i else x - 1 for x in range(1, g.n + 2)))
-    return FinFun(g.n - 1, g.n, tuple(x if x < g.i else x + 1 for x in range(1, g.n)))
+    elif g.kind is GenKind.DEGENERACY:
+        table = [x if x <= g.i else x - 1 for x in points]
+    else:
+        table = [x if x < g.i else x + 1 for x in points]
+    return FinFun(g.dom, g.n, tuple(table))
 
 
 class Classification(NamedTuple):
@@ -183,7 +200,7 @@ def classify(f: FinFun) -> Classification:
     image = set(f.table)
     return Classification(
         injective=len(image) == f.dom,
-        surjective=image == set(range(1, f.cod + 1)),
+        surjective=len(image) == f.cod,  # every entry lies in 1..cod
         monotone=all(f.table[k] <= f.table[k + 1] for k in range(f.dom - 1)),
     )
 
@@ -224,12 +241,6 @@ _REQUIRED: dict[Club, Classification] = {
 
 _BY_PROPS: dict[Classification, Club] = {req: c for c, req in _REQUIRED.items()}
 
-# What dropping each requirement lets in, in Classification order: duplicated
-# points (degeneracies, W), dropped points (faces, K), broken order
-# (transpositions, C).
-_UNLOCKS = ((GenKind.DEGENERACY, "W"), (GenKind.FACE, "K"), (GenKind.TRANSPOSITION, "C"))
-
-
 def required_properties(c: Club) -> Classification:
     """The properties every member of c must have, True where required."""
     return _REQUIRED[c]
@@ -249,22 +260,18 @@ def leq(c1: Club, c2: Club) -> bool:
     return all(map(operator.le, _REQUIRED[c2], _REQUIRED[c1]))
 
 
-def _unlocked(c: Club) -> list[tuple[GenKind, str]]:
-    return [u for u, required in zip(_UNLOCKS, _REQUIRED[c]) if not required]
-
-
 def basis(c: Club) -> frozenset[str]:
     """The combinator basis paired with the club.
 
     B and I are always present; C is added once order can be broken, K once
     points can be dropped, W once points can be duplicated.
     """
-    return frozenset({"B", "I"}.union(p for _, p in _unlocked(c)))
+    return frozenset({"B", "I"}.union(_FAMILIES[k][1] for k in generator_kinds(c)))
 
 
 def generator_kinds(c: Club) -> frozenset[GenKind]:
     """Which generator families stay inside the club."""
-    return frozenset(k for k, _ in _unlocked(c))
+    return frozenset(k for k, required in zip(_FAMILIES, _REQUIRED[c]) if not required)
 
 
 def club_from_name(name: str) -> Club:
@@ -337,10 +344,13 @@ def parse_finfun(text: str) -> FinFun:
     m = _FINFUN_RE.match(text)
     if m is None:
         raise ParseError(f"not a finite function: {text!r} (expected m->n:[e1,...,em])")
-    dom, cod = int(m.group(1)), int(m.group(2))
-    entries = tuple(int(x) for x in m.group(3).replace(" ", "").split(",")) if m.group(3).strip() else ()
+    numbers = [m.group(1), m.group(2), *re.findall(r"\d+", m.group(3))]
     try:
-        return FinFun(dom, cod, entries)
+        dom, cod, *entries = map(int, numbers)
+    except ValueError:  # a run of digits is rejected only past Python's length limit
+        raise ParseError(f"number too long: {max(map(len, numbers))} digits") from None
+    try:
+        return FinFun(dom, cod, tuple(entries))
     except ValueError as e:
         raise ParseError(str(e)) from None
 

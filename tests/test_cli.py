@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -265,6 +266,31 @@ def test_bad_fuel_rejected(capsys):
 def test_malformed_finfun_is_usage_error():
     r = run_cli(["factor", "3->2:[2,1,7]"])
     assert r.returncode == 1
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("argv", [
+    ["factor", "{big}->1:[1]"],
+    ["factor", "1->{big}:[1]"],
+    ["diagram", "1->1:[{big}]"],
+])
+def test_number_past_the_int_digit_limit_is_usage_error(argv, json_flag, capsys):
+    # 5,000 digits is past Python's default limit of 4,300 on int(str)
+    command, text = argv
+    assert cli.main([command, *json_flag, text.format(big="1" * 5000)]) == 1
+    captured = capsys.readouterr()
+    message = json.loads(captured.out)["error"] if json_flag else captured.err
+    assert "number too long: 5000 digits" in message
+    assert "set_int_max_str_digits" not in message
+
+
+def test_club_violation_with_a_huge_codomain_exits_2():
+    # under a 1 GB address-space cap: classifying must not build the codomain
+    r = subprocess.run([sys.executable, "-m", "clubcomb", "factor", "--club", "id",
+                        "1->1000000000:[1]"], capture_output=True, timeout=60,
+                       preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    assert r.returncode == 2
+    assert r.stderr == b"error: 1->1000000000:[1] is not in Id; its minimal club is Minj\n"
 
 
 def test_factor_defaults_to_minimal_club():

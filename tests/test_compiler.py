@@ -98,6 +98,33 @@ def test_lift_face_arity_zero():
         lift(I, finord.face(1, 1))
 
 
+# Each family's letter, lifting combinator and domain minus n, written out
+# independently of the finord table every consumer reads.
+FAMILIES = {
+    finord.GenKind.TRANSPOSITION: ("t", C, 0),
+    finord.GenKind.FACE: ("d", K, -1),
+    finord.GenKind.DEGENERACY: ("s", W, 1),
+}
+
+
+def test_generator_families_agree_in_every_consumer():
+    for kind, (letter, prim, offset) in FAMILIES.items():
+        for n in range(1, 7):
+            for i in range(1, n if kind is finord.GenKind.TRANSPOSITION else n + 1):
+                g = finord.Generator(kind, n, i)
+                f = finord.make_generator(g)
+                assert (g.dom, f.dom, f.cod) == (n + offset, n + offset, n)
+                assert str(g) == f"{letter}({n},{i})"
+                if g.dom:
+                    assert lift(I, g).left.right is prim
+                for c in Club:
+                    if kind in finord.generator_kinds(c):
+                        assert finord.contains(c, f)
+    for c in Club:
+        lifting = {FAMILIES[k][1].name for k in finord.generator_kinds(c)}
+        assert finord.basis(c) == {"B", "I"} | lifting
+
+
 def test_lifts_match_action_on_all_small_bracketings():
     # lifting a witness along a generator must compute the acted polynomial
     for n in range(1, 5):

@@ -1,5 +1,10 @@
 """Finite functions, generators, clubs, and factorization."""
 
+import pathlib
+import resource
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -38,6 +43,8 @@ from clubcomb.finord import (
     wreath,
 )
 import oracles
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 finfuns = st.integers(1, 5).flatmap(
     lambda n: st.integers(0, 5).flatmap(
@@ -211,6 +218,21 @@ def test_classify_matches_naive_predicates():
         assert (c.injective and c.surjective and c.monotone) == (
             f == identity(f.dom) and f.dom == f.cod
         )
+
+
+def _cap_memory():
+    # 1 GB of address space: an O(cod) set of a 10**9-point codomain fails
+    # fast with MemoryError instead of exhausting the machine
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_classify_takes_time_in_the_domain_not_the_codomain():
+    code = ("from clubcomb.finord import Club, FinFun, contains, minimal_club\n"
+            "f = FinFun(1, 10**9, (1,))\n"
+            "print(minimal_club(f).value, contains(Club.ID, f), contains(Club.MINJ, f))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       preexec_fn=_cap_memory, timeout=60)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "minj False True\n", "")
 
 
 def test_minimal_club_examples():
@@ -423,3 +445,10 @@ def test_required_properties_determine_membership():
         for c in Club:
             required = required_properties(c)
             assert contains(c, f) == all(ok for need, ok in zip(required, props) if need)
+
+
+def test_club_census_output_is_pinned():
+    r = subprocess.run([sys.executable, str(ROOT / "scripts" / "club_census.py"), "--max-size", "3"],
+                       capture_output=True)
+    assert r.returncode == 0
+    assert r.stdout == (ROOT / "tests" / "golden" / "club_census_max_size_3.out").read_bytes()
