@@ -21,6 +21,7 @@ from .errors import (
     ClubViolation,
     FuelExhausted,
     ParseError,
+    VerificationFailed,
 )
 from .finord import Club, FinFun
 
@@ -31,6 +32,17 @@ EXIT_FUEL = 3
 EXIT_INTERNAL = 4
 
 _CLUB_NAMES = [c.value for c in Club]
+
+# render_diagram draws 2 * max(dom, cod) - 1 rows; past this many points a
+# side, diagram refuses the input and analyze leaves the picture out.
+DIAGRAM_MAX_POINTS = 10_000
+
+
+def _diagram_size_error(f: FinFun) -> str | None:
+    points = max(f.dom, f.cod)
+    if points > DIAGRAM_MAX_POINTS:
+        return f"{points} points exceed the diagram limit of {DIAGRAM_MAX_POINTS} a side"
+    return None
 
 
 def render_diagram(f: FinFun) -> str:
@@ -153,7 +165,8 @@ def _cmd_analyze(ns) -> int:
     dec = poly.usage(s)
     _emit(ns, usage=dec.usage, skeleton=dec.skeleton, minimal_club=finord.minimal_club(dec.usage))
     if not ns.json:
-        print("diagram:", render_diagram(dec.usage), sep="\n")
+        too_big = _diagram_size_error(dec.usage)
+        print("diagram:", f"(left out: {too_big})" if too_big else render_diagram(dec.usage), sep="\n")
     return EXIT_OK
 
 
@@ -179,17 +192,17 @@ def _cmd_factor(ns) -> int:
     minimal = finord.minimal_club(f)
     club = Club(ns.club) if ns.club else minimal
     chain = finord.factor(f, club)
-    recomposed = finord.identity(f.dom)
-    for g in chain:
-        recomposed = finord.compose(finord.make_generator(g), recomposed)
-    if recomposed != f:
-        return _fail(ns, EXIT_INTERNAL, "internal error: factor chain does not recompose to the input")
+    if finord.recompose(chain, f.dom) != f:
+        raise VerificationFailed("factor chain does not recompose to the input")
     _emit(ns, _chain_text(chain), usage=f, minimal_club=minimal, club_used=club, generators=chain)
     return EXIT_OK
 
 
 def _cmd_diagram(ns) -> int:
     f = finord.parse_finfun(ns.input)
+    too_big = _diagram_size_error(f)
+    if too_big:
+        return _fail(ns, EXIT_USAGE, too_big)
     _emit(ns, render_diagram(f), usage=f)
     return EXIT_OK
 
@@ -224,8 +237,13 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(ns, EXIT_FUEL, str(e))
     except ClubCombError as e:
         return _fail(ns, EXIT_INTERNAL, f"internal error: {e}")
+    except MemoryError:
+        # Allocate nothing here: the error's traceback keeps the failed
+        # command's frames, and its memory, alive until this clause ends.
+        pass
     except Exception as e:  # a bug, or a limit such as RecursionError: one line, no traceback
         return _fail(ns, EXIT_INTERNAL, f"internal error: {type(e).__name__}: {e}")
+    return _fail(ns, EXIT_INTERNAL, "internal error: MemoryError")
 
 
 if __name__ == "__main__":

@@ -115,6 +115,9 @@ def compile(
     Raises ClubViolation when the usage function is not in the club, and
     ArityZero when no variables remain (no valid polynomial has an empty
     context, but inputs arriving through constants preprocessing can).
+    With or without verify, the factor chain must recompose to the usage
+    (finord.recompose) before it is lifted; otherwise VerificationFailed, or
+    ArityMismatch for a chain whose arities do not line up.
 
     With verify, the witness is checked by comb.verify and compile is its
     only judge: it returns a report only when the check passed, and raises
@@ -143,19 +146,15 @@ def compile(
             minimal=minimal,
         )
     chain = tuple(finord.factor(u, club_used))
+    if finord.recompose(chain, u.dom) != u:
+        raise VerificationFailed("factor chain does not recompose to the usage")
 
     skeleton = dec.skeleton
     term = compile_bracketing(skeleton)
     leaves = 1 + sum(_added_leaves(turns) for turns in _contractions(skeleton))
-    arity = u.dom
     for g in chain:
-        if arity != g.dom:
-            raise ArityMismatch(f"cannot lift a {arity}-argument witness along {g}")
         term = lift(term, g)
         leaves += _added_leaves(g.i - 1)
-        arity = g.n
-    if arity != s.context_size:
-        raise ArityMismatch(f"the chain lands on {arity} arguments, not {s.context_size}")
     output = comb.apply(term, [FreeSym(name) for name in constants])
     steps = 0
     if verify:

@@ -2,7 +2,7 @@
 
 Every error raised on a bad input derives from ClubCombError, so callers can
 catch the whole family at once.  The CLI maps subfamilies to exit codes; an
-internal invariant that fails (such as an ArityMismatch while folding a
+internal invariant that fails (such as an ArityMismatch while recomposing a
 generator chain) maps to the internal-error code.
 """
 
@@ -50,7 +50,8 @@ class ArityZero(ClubCombError):
 
 
 class VerificationFailed(ClubCombError):
-    """A compiled witness failed its check by reduction."""
+    """A computed result failed its check: a compiled witness its reduction,
+    or a generator chain its recomposition to the function it factors."""
 
 
 class FuelExhausted(ClubCombError):

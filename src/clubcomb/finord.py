@@ -313,25 +313,75 @@ def factor(f: FinFun, c: Club) -> list[Generator]:
                 gens.append(transposition(m, i))
                 swapped = True
 
-    # table is now monotone; peel off degeneracies until strictly increasing.
-    work = table
-    while True:
-        size = len(work)
-        merge_at = next((i for i in range(1, size) if work[i - 1] == work[i]), None)
-        if merge_at is None:
-            break
-        gens.append(degeneracy(size - 1, merge_at))
-        work = work[:merge_at] + work[merge_at + 1:]
-
-    # work is a strictly increasing image; insert the missed points as faces.
-    present = set(work)
-    rank = len(work)
+    # table is now monotone.  Merging the leftmost equal pair first, every
+    # repeat merges into the last of the distinct values before it, so one
+    # scan emits the degeneracies; then insert the missed points as faces.
+    rank = min(m, 1)  # distinct values seen so far
+    size = m  # domain of the next degeneracy
+    for k in range(1, m):
+        if table[k] == table[k - 1]:
+            size -= 1
+            gens.append(degeneracy(size, rank))
+        else:
+            rank += 1
+    present = set(table)
     for v in range(1, f.cod + 1):
         if v not in present:
             rank += 1
             gens.append(face(rank, v))
 
     return gens
+
+
+def recompose(chain: list[Generator] | tuple[Generator, ...], dom: int) -> FinFun:
+    """The composite of chain, applied in order to identity(dom).
+
+    Raises ArityMismatch when a generator's domain is not the size of the
+    codomain reached so far.  Block v holds the points sent to v (0-based, a
+    tuple until a merge makes it a list), and each generator swaps, merges
+    or inserts blocks.  Blocks 1..len(left) sit in left and the rest in
+    right, reversed, so merges and inserts happen at the finger between the
+    two stacks and swaps index either stack in place; a merge extends the
+    larger block.  On a chain factor emits, the finger only moves forward
+    within the degeneracies and within the faces, so the cost is
+    O(dom + cod + len(chain)).
+    """
+    left: list = []
+    right: list = list(zip(range(dom - 1, -1, -1)))
+    for g in chain:
+        n = len(left) + len(right)
+        if g.dom != n:
+            raise ArityMismatch(f"{g} cannot follow a map onto {n} points")
+        i, k = g.i, len(left)
+        if g.kind is GenKind.TRANSPOSITION:  # blocks i and i+1 sit at 0-based i-1, i
+            if i < k:
+                left[i - 1], left[i] = left[i], left[i - 1]
+            elif i > k:
+                j = n - 1 - i
+                right[j], right[j + 1] = right[j + 1], right[j]
+            else:
+                left[-1], right[-1] = right[-1], left[-1]
+            continue
+        k = i if g.kind is GenKind.DEGENERACY else i - 1  # move the finger to k
+        while len(left) > k:
+            right.append(left.pop())
+        while len(left) < k:
+            left.append(right.pop())
+        if g.kind is GenKind.DEGENERACY:
+            big, small = left[-1], right.pop()
+            if len(big) < len(small):
+                big, small = small, big
+            if type(big) is tuple:
+                big = list(big)
+            big.extend(small)
+            left[-1] = big
+        else:
+            left.append(())
+    table = [0] * dom
+    for v, block in enumerate(itertools.chain(left, reversed(right)), 1):
+        for p in block:
+            table[p] = v
+    return FinFun(dom, len(left) + len(right), tuple(table))
 
 
 _FINFUN_RE = re.compile(

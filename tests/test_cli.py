@@ -157,6 +157,7 @@ sys.exit(cli.main(sys.argv[1:]))
     (["factor", "2->2:[2,1]"], "[]"),
     (["compile", "--no-verify", "x, y |- y x"], "[finord.transposition(3, 1)]"),
     (["compile", "--no-verify", "x, y |- y x"], "[finord.face(3, 3)]"),
+    (["compile", "--no-verify", "x, y |- x y"], "[finord.transposition(2, 1)] * 3"),
 ])
 def test_wrong_factor_chain_is_internal_error_without_asserts(argv, chain):
     code = _WRONG_FACTOR.format(chain=chain)
@@ -180,6 +181,58 @@ def test_unexpected_exception_is_one_line_internal_error(json_flag, monkeypatch,
         assert json.loads(captured.out)["error"] == message
     else:
         assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_memory_error_is_one_line_internal_error(json_flag, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.finord, "factor", exhausted)
+    assert cli.main(["factor", *json_flag, "2->2:[2,1]"]) == 4
+    captured = capsys.readouterr()
+    if json_flag:
+        assert json.loads(captured.out)["error"] == "internal error: MemoryError"
+    else:
+        assert captured == ("", "error: internal error: MemoryError\n")
+
+
+def _cap_memory(megabytes):
+    return lambda: resource.setrlimit(resource.RLIMIT_AS, (megabytes << 20, megabytes << 20))
+
+
+def test_running_out_of_memory_exits_4_with_one_line():
+    # ten million faces need gigabytes: factor runs out of its 200 MB, and the
+    # report must not need the memory that the failed chain still holds
+    r = subprocess.run([sys.executable, "-m", "clubcomb", "factor", "1->10000000:[1]"],
+                       capture_output=True, timeout=60, preexec_fn=_cap_memory(200))
+    assert (r.returncode, r.stdout, r.stderr) == (4, b"", b"error: internal error: MemoryError\n")
+
+
+def test_factor_of_a_wide_codomain_takes_linear_time():
+    # 199,999 faces, each recomposed at the finger: a rebuild per generator takes hours
+    r = subprocess.run([sys.executable, "-m", "clubcomb", "factor", "1->200000:[1]"],
+                       capture_output=True, timeout=60, preexec_fn=_cap_memory(1024))
+    assert r.returncode == 0 and r.stderr == b""
+    chain = r.stdout.split()
+    assert len(chain) == 199999
+    assert chain[0] == b"d(2,2)" and chain[-1] == b"d(200000,200000)"
+
+
+def test_diagram_has_a_stated_size_limit(capsys):
+    limit = cli.DIAGRAM_MAX_POINTS
+    assert cli.main(["diagram", f"1->{limit}:[1]"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2 * limit - 1
+    message = f"{limit + 1} points exceed the diagram limit of {limit} a side"
+    assert cli.main(["diagram", f"1->{limit + 1}:[1]"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert cli.main(["diagram", "--json", f"{limit + 1}->1:[{','.join(['1'] * (limit + 1))}]"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == message
+    # analyze keeps its other fields and says in one line that it left the picture out
+    assert cli.main(["analyze", "x |- " + " ".join(["x"] * (limit + 1))]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["diagram:", f"(left out: {message})"]
+    assert out[2] == "minimal club: Msrj"
 
 
 def test_eval_deeply_nested_parentheses():

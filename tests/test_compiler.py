@@ -9,7 +9,13 @@ from hypothesis import given, strategies as st
 from clubcomb import comb, finord, poly
 from clubcomb.comb import App, B, C, I, K, W, FreeSym
 from clubcomb.compiler import compile, compile_bracketing, lift
-from clubcomb.errors import ArityZero, ClubViolation, IndexOutOfRange
+from clubcomb.errors import (
+    ArityMismatch,
+    ArityZero,
+    ClubViolation,
+    IndexOutOfRange,
+    VerificationFailed,
+)
 from clubcomb.finord import Club, FinFun
 from clubcomb.poly import LEAF, Node
 import oracles
@@ -207,6 +213,19 @@ def test_compile_chain_recomposes_to_usage():
     report = compile(s)
     assert oracles.recompose(report.generator_chain, report.usage.dom) == report.usage
     assert report.usage == poly.usage(s).usage
+
+
+@pytest.mark.parametrize("verify", [True, False])
+def test_compile_checks_the_chain_with_or_without_verification(verify, monkeypatch):
+    s = poly.parse("x, y |- x y")
+    # well typed but wrong: three swaps of an identity usage
+    monkeypatch.setattr(finord, "factor", lambda f, club: [finord.transposition(2, 1)] * 3)
+    with pytest.raises(VerificationFailed, match="^factor chain does not recompose to the usage$"):
+        compile(s, verify=verify)
+    # ill typed: the swap needs three arguments
+    monkeypatch.setattr(finord, "factor", lambda f, club: [finord.transposition(3, 1)])
+    with pytest.raises(ArityMismatch):
+        compile(s, verify=verify)
 
 
 def all_small_sequents(max_occurrences, max_context):

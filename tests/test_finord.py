@@ -1,6 +1,7 @@
 """Finite functions, generators, clubs, and factorization."""
 
 import pathlib
+import random
 import resource
 import subprocess
 import sys
@@ -38,6 +39,7 @@ from clubcomb.finord import (
     make_generator,
     minimal_club,
     parse_finfun,
+    recompose,
     required_properties,
     transposition,
     wreath,
@@ -407,6 +409,43 @@ def test_factor_transposition_count_bound():
         chain = factor(f, Club.FUN)
         swaps = sum(1 for g in chain if g.kind is GenKind.TRANSPOSITION)
         assert swaps <= f.dom * (f.dom - 1) // 2
+
+
+def test_recompose_matches_the_oracle_on_every_factor_chain():
+    for f in oracles.universe(4):
+        for c in Club:
+            if contains(c, f):
+                chain = factor(f, c)
+                assert recompose(chain, f.dom) == oracles.recompose(chain, f.dom) == f, (f, c)
+
+
+def test_recompose_matches_the_oracle_on_random_generator_sequences():
+    gens = oracles.legal_generators(5)
+    rng = random.Random(11)
+    for _ in range(2000):
+        dom = rng.randint(0, 5)
+        chain, n = [], dom
+        for _ in range(rng.randint(0, 12)):
+            fits = [g for g in gens if g.dom == n]
+            if not fits:
+                break
+            chain.append(rng.choice(fits))
+            n = chain[-1].n
+        assert recompose(chain, dom) == oracles.recompose(chain, dom), (chain, dom)
+        misfits = [g for g in gens if g.dom != n]
+        with pytest.raises(ArityMismatch):
+            recompose(chain + [rng.choice(misfits)], dom)
+
+
+def test_factor_and_recompose_of_a_wide_merge_take_linear_time():
+    # 199,999 degeneracies s(n,1): a rescan per merge would take minutes
+    code = ("from clubcomb.finord import Club, FinFun, factor, recompose\n"
+            "f = FinFun(200000, 1, (1,) * 200000)\n"
+            "chain = factor(f, Club.MSRJ)\n"
+            "print(len(chain), recompose(chain, f.dom) == f)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       preexec_fn=_cap_memory, timeout=30)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "199999 True\n", "")
 
 
 def test_parse_format_finfun():
