@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from . import comb, finord, poly
 from .comb import App, CombTerm, FreeSym
-from .errors import ArityMismatch, ArityZero, ClubViolation, FuelExhausted, VerificationFailed
+from .errors import ArityMismatch, ArityZero, FuelExhausted, VerificationFailed
 from .finord import Club, FinFun, Generator
 
 
@@ -112,9 +112,9 @@ def compile(
     contain the extended usage function, and the witness is then applied to
     the constant symbols, leaving a term over the remaining variables only.
 
-    Raises ClubViolation when the usage function is not in the club, and
-    ArityZero when no variables remain (no valid polynomial has an empty
-    context, but inputs arriving through constants preprocessing can).
+    Raises ClubViolation, through finord.factor, when the usage function is
+    not in the club, and ArityZero when constants fill every slot (no
+    Sequent with an empty context can hold a term).
     With or without verify, the factor chain must recompose to the usage
     (finord.recompose) before it is lifted; otherwise VerificationFailed, or
     ArityMismatch for a chain whose arities do not line up.
@@ -127,29 +127,18 @@ def compile(
     the exact reduction budget.  Running out of it, taking any other number
     of steps, or reaching a normal form other than the input's all fail.
     """
-    n_vars = s.context_size - len(constants)
-    if n_vars < 0:
+    if len(constants) > s.context_size:
         raise ArityMismatch(f"{len(constants)} constants exceed {s.context_size} context slots")
-    if n_vars == 0:
-        raise ArityZero(
-            "the term contains constants only; no variables remain" if constants
-            else "a polynomial with no variables cannot be compiled"
-        )
+    if len(constants) == s.context_size:  # a Sequent with no context holds no term
+        raise ArityZero("the term contains constants only; no variables remain")
     dec = poly.usage(s)
-    u = dec.usage
+    u, skeleton = dec.usage, dec.skeleton
     minimal = finord.minimal_club(u)
     club_used = minimal if club is None else club
-    if not finord.contains(club_used, u):
-        raise ClubViolation(
-            f"usage {finord.format_finfun(u)} lies outside {club_used.display}; "
-            f"its minimal club is {minimal.display}",
-            minimal=minimal,
-        )
     chain = tuple(finord.factor(u, club_used))
     if finord.recompose(chain, u.dom) != u:
         raise VerificationFailed("factor chain does not recompose to the usage")
 
-    skeleton = dec.skeleton
     term = compile_bracketing(skeleton)
     leaves = 1 + sum(_added_leaves(turns) for turns in _contractions(skeleton))
     for g in chain:
@@ -172,7 +161,7 @@ def compile(
         input=s,
         club_used=club_used,
         usage=u,
-        skeleton=dec.skeleton,
+        skeleton=skeleton,
         minimal_club=minimal,
         generator_chain=chain,
         output=output,

@@ -293,25 +293,28 @@ def factor(f: FinFun, c: Club) -> list[Generator]:
     exactly, and every emitted generator lies in c whenever f does.
     """
     if not contains(c, f):
-        raise ClubViolation(
-            f"{format_finfun(f)} is not in {c.display}; "
-            f"its minimal club is {minimal_club(f).display}",
-            minimal=minimal_club(f),
-        )
+        minimal = minimal_club(f)
+        raise ClubViolation(f"{format_finfun(f)} is not in {c.display}; "
+                            f"its minimal club is {minimal.display}", minimal=minimal)
     gens: list[Generator] = []
     table = list(f.table)
     m = f.dom
 
     # Swapping positions i, i+1 of the table precomposes with t(m, i), so the
     # recorded swaps, applied first in recorded order, undo all inversions.
-    swapped = True
-    while swapped:
-        swapped = False
-        for i in range(1, m):
-            if table[i - 1] > table[i]:
+    # A swap at pair i can only disorder pairs i-1 and i+1, so after the first
+    # pass each pass starts at the pairs left of the last one's swaps and
+    # carries rightward while it swaps: the same swaps, in O(m + swaps).
+    todo = range(1, m)
+    while todo:
+        first, done = len(gens), 0  # pairs 1..done were compared in this pass
+        for i in todo:
+            while i > done and i < m and table[i - 1] > table[i]:
                 table[i - 1], table[i] = table[i], table[i - 1]
                 gens.append(transposition(m, i))
-                swapped = True
+                i += 1
+            done = max(done, i)
+        todo = [g.i - 1 for g in gens[first:] if g.i > 1]
 
     # table is now monotone.  Merging the leftmost equal pair first, every
     # repeat merges into the last of the distinct values before it, so one

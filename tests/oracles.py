@@ -6,8 +6,9 @@ tricks, breadth-first closure instead of predicate tests, a rewrite of the
 whole term per reduction step instead of a spine-stack machine, a recursive
 parser through a named syntax tree instead of one stack parse straight into
 the usage split, repeated leftmost contraction instead of one pass over
-the shape, and isinstance tests over a generic leaf walk instead of exact
-type dispatch.  Tests compare the two routes, so a shared bug would have to
+the shape, isinstance tests over a generic leaf walk instead of exact
+type dispatch, full bubble passes instead of passes that start next to the
+last swaps, and painting every cell of every line instead of summing runs.  Tests compare the two routes, so a shared bug would have to
 be made twice in different shapes.
 """
 
@@ -67,6 +68,59 @@ def recompose(chain: list[Generator] | tuple[Generator, ...], dom: int) -> FinFu
     for g in chain:
         acc = pointwise_compose(finord.make_generator(g), acc)
     return acc
+
+
+def bubble_transpositions(table: tuple[int, ...]) -> list[int]:
+    """The pairs a full bubble sort of table swaps, in order: every pass
+    compares every adjacent pair, until a pass swaps nothing."""
+    table = list(table)
+    swaps: list[int] = []
+    swapped = True
+    while swapped:
+        swapped = False
+        for i in range(1, len(table)):
+            if table[i - 1] > table[i]:
+                table[i - 1], table[i] = table[i], table[i - 1]
+                swaps.append(i)
+                swapped = True
+    return swaps
+
+
+def paint_diagram(f: FinFun) -> str:
+    """Dot-and-line picture of f: domain dots left, codomain dots right.
+
+    Point k of either side sits at row 2(k-1) of its column; each domain
+    element contributes one line of '-', '\\' or '/' cells, bent by integer
+    (half-up) interpolation across 9 interior columns.  Cells claimed by
+    lines of different direction become 'X'.  Paints every cell of every
+    line, O(dom x cod), where cli.render_diagram sums runs per column.
+    """
+    inner = 9
+    span = inner + 1
+    rows = 2 * max(f.dom, f.cod, 1) - 1
+    grid = [[" "] * (inner + 2) for _ in range(rows)]
+
+    def paint(r: int, c: int, ch: str) -> None:
+        cur = grid[r][c]
+        grid[r][c] = ch if cur in (" ", ch) else "X"
+
+    for j in range(1, f.dom + 1):
+        r0, r1 = 2 * (j - 1), 2 * (f(j) - 1)
+        ch = "-" if r1 == r0 else ("\\" if r1 > r0 else "/")
+        prev = r0
+        for c in range(1, inner + 1):
+            num = r0 * (span - c) + r1 * c
+            y = (2 * num + span) // (2 * span)
+            for r in range(min(prev, y), max(prev, y) + 1):
+                paint(r, c, ch)
+            prev = y
+
+    for j in range(1, f.dom + 1):
+        grid[2 * (j - 1)][0] = "o"
+    for i in range(1, f.cod + 1):
+        grid[2 * (i - 1)][inner + 1] = "o"
+
+    return "\n".join("".join(row).rstrip() for row in grid)
 
 
 def legal_generators(max_size: int) -> list[Generator]:

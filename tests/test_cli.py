@@ -2,12 +2,14 @@
 
 import json
 import pathlib
+import random
 import resource
 import subprocess
 import sys
 
 import pytest
 
+import oracles
 from clubcomb import cli, compiler
 from clubcomb.errors import VerificationFailed
 from clubcomb.finord import FinFun, identity, parse_finfun
@@ -218,6 +220,56 @@ def test_factor_of_a_wide_codomain_takes_linear_time():
     assert len(chain) == 199999
     assert chain[0] == b"d(2,2)" and chain[-1] == b"d(200000,200000)"
 
+
+def _run_child(code, seconds):
+    """Run code in a fresh interpreter under a 1 GB cap; past seconds, TimeoutExpired."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=seconds, preexec_fn=_cap_memory(1024))
+
+
+def test_factor_of_a_long_rotation_takes_linear_time():
+    # 29,999 passes of one swap each: full bubble passes take about a minute
+    code = ("from clubcomb import cli\n"
+            "n = 30000\n"
+            "table = ','.join(map(str, [*range(2, n + 1), 1]))\n"
+            "raise SystemExit(cli.main(['factor', f'{n}->{n}:[{table}]']))")
+    r = _run_child(code, 20)
+    assert r.returncode == 0 and r.stderr == ""
+    chain = r.stdout.split()
+    assert len(chain) == 29999
+    assert chain[0] == "t(30000,29999)" and chain[-1] == "t(30000,1)"
+
+
+def test_diagram_of_a_long_reversal_takes_linear_time():
+    # every line crosses every other: painting each cell of each line takes seconds
+    code = ("from clubcomb import cli\n"
+            "n = 10000\n"
+            "table = ','.join(map(str, range(n, 0, -1)))\n"
+            "raise SystemExit(cli.main(['diagram', f'{n}->{n}:[{table}]']))")
+    r = _run_child(code, 5)
+    assert r.returncode == 0 and r.stderr == ""
+    lines = r.stdout.splitlines()
+    assert len(lines) == 19999
+    assert lines[0] == "o\\        o" and lines[9999] == "   XXXXXX"
+
+
+def test_render_diagram_matches_the_cell_painter():
+    for f in oracles.universe(5):
+        assert cli.render_diagram(f) == oracles.paint_diagram(f), f
+    rng = random.Random(13)
+    for _ in range(2000):
+        m, n = rng.randint(0, 60), rng.randint(1, 60)
+        f = FinFun(m, n, tuple(rng.randint(1, n) for _ in range(m)))
+        assert cli.render_diagram(f) == oracles.paint_diagram(f), f
+
+
+def test_diagram_json_draws_nothing(monkeypatch, capsys):
+    def draw(f):
+        raise AssertionError("diagram --json drew a picture")
+
+    monkeypatch.setattr(cli, "render_diagram", draw)
+    assert cli.main(["diagram", "--json", "2->3:[3,1]"]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "diagram_json.out").read_bytes()
 
 def test_diagram_has_a_stated_size_limit(capsys):
     limit = cli.DIAGRAM_MAX_POINTS

@@ -411,6 +411,21 @@ def test_factor_transposition_count_bound():
         assert swaps <= f.dom * (f.dom - 1) // 2
 
 
+def test_factor_transpositions_match_a_full_bubble_sort():
+    # later passes start only next to the last pass's swaps: same swaps, same order
+    def check(f, c):
+        expected = [transposition(f.dom, i) for i in oracles.bubble_transpositions(f.table)]
+        assert [g for g in factor(f, c) if g.kind is GenKind.TRANSPOSITION] == expected, (f, c)
+
+    for f in oracles.universe(5):
+        for c in Club:
+            if contains(c, f):
+                check(f, c)
+    rng = random.Random(12)
+    for _ in range(2000):
+        m, n = rng.randint(0, 60), rng.randint(1, 60)
+        check(FinFun(m, n, tuple(rng.randint(1, n) for _ in range(m))), Club.FUN)
+
 def test_recompose_matches_the_oracle_on_every_factor_chain():
     for f in oracles.universe(4):
         for c in Club:
