@@ -43,7 +43,29 @@ class FreeSym:
     name: str
 
 
-class App(poly.Binary): __slots__ = ()
+_new = tuple.__new__
+
+
+class App(poly.Binary):
+    """An application.  A node that is B^k for some k >= 2, App(App(B, B), y)
+    with y the module's B or a node of power k - 1, stores k as a third
+    item, so the reducer and the printer read a power in O(1).  Only the
+    module's own B counts (an identity test): b_power and parse_comb build
+    nothing else, and a tower of other Prim("B") objects, such as a copied
+    or unpickled one, stores no power at or above the first of them and gets
+    single steps and the generic print, with the same results.  == and hash
+    ignore the power.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, left, right):
+        if type(left) is App and left[0] is B and left[1] is B:  # B B right
+            if right is B:
+                return _new(cls, (left, right, 2))
+            if type(right) is App and len(right) == 3:
+                return _new(cls, (left, right, right[2] + 1))
+        return _new(cls, (left, right))
 
 
 CombTerm = Prim | FreeSym | App
@@ -89,13 +111,13 @@ def normalize(t: CombTerm, fuel: int = DEFAULT_FUEL) -> ReductionResult:
     One macro rule takes many root steps at once.  B^k z a x1 .. xk, with
     B^k = b_power(k), needs 2k - 1 steps to reach z (a x1 .. xk); when z is a
     primitive whose other arguments r.. are on the stack too, its own step
-    makes a the head again.  So when the head is B^k, recognised by its
-    shape in O(k) (_bb_spine), z is a primitive with all its arguments, and
-    at least 2k steps of fuel remain, the machine leaves x1 .. xk where they
-    are, applies z's rule to the r.. beneath them, makes a the head and
-    counts 2k steps.  All 2k are root steps, so no other redex comes between
-    them and the order, the count and the normal form are those of single
-    steps.  With less fuel it takes single steps, so the term at exhaustion
+    makes a the head again.  So when the head is B^k (B itself, or B B y
+    with y's power read in O(1) from the item App recorded when y was
+    built), z is a primitive with all its arguments, and at least 2k steps
+    of fuel remain, the machine leaves x1 .. xk where they are, applies z's
+    rule to the r.. beneath them, makes a the head and counts 2k steps.
+    All 2k are root steps, so no other redex comes between them and the
+    order, the count and the normal form are those of single steps.  With less fuel it takes single steps, so the term at exhaustion
     is too.
     """
     if fuel < 1:
@@ -103,7 +125,6 @@ def normalize(t: CombTerm, fuel: int = DEFAULT_FUEL) -> ReductionResult:
     steps = 0
     frames: list[list] = []  # stuck heads: [head, pending args (first on top), normal args]
     head, args = t, []
-    seen = [None, 0, None]  # see _read_spine
     while True:
         while True:
             while type(head) is App:
@@ -115,7 +136,7 @@ def normalize(t: CombTerm, fuel: int = DEFAULT_FUEL) -> ReductionResult:
                 return ReductionResult(
                     _rebuild(head, args, frames), steps, ReductionStatus.FUEL_EXHAUSTED)
             name = head.name
-            k = _b_power_redex(args, fuel - steps, seen) if name == "B" else 0
+            k = _b_power_redex(args, fuel - steps) if name == "B" else 0
             if k:  # B^k z a x1..xk r.. -> a x1..xk r'..
                 i = len(args) - (4 if k > 1 else 2)  # a; above it z, and B^(k-1), B if k > 1
                 name = args[i + 1].name
@@ -151,47 +172,18 @@ def normalize(t: CombTerm, fuel: int = DEFAULT_FUEL) -> ReductionResult:
             frames[-1][2].append(done)
 
 
-def _bb_spine(t: CombTerm) -> tuple[int, CombTerm]:
-    """(d, u) with t = B B (B B (... (B B u))), d levels, u not itself B B ·.
-
-    Only the module's own B counts (an identity test): terms built by b_power
-    and parse_comb hold nothing else.  A spine through other Prim("B")
-    objects ends where they begin, and a power read short is handled as a
-    term of no special shape, with the same result.
-    """
-    d = 0
-    while type(t) is App and type(bb := t.left) is App and bb.left is B and bb.right is B:
-        t, d = t.right, d + 1
-    return d, t
-
-
-def _read_spine(t: CombTerm, seen: list) -> tuple[int, CombTerm]:
-    """_bb_spine(t), through a one-node memo seen = [u, d, end] of one caller.
-
-    seen records u = (B B)^d end, one node down the last spine read.  Both
-    callers go on to read that node next when t is not a power of B (the
-    reducer's single steps bring it up as the next head's argument, the
-    printer meets it as the next argument), so no chain is read once per
-    level.
-    """
-    d, end = seen[1:] if t is seen[0] else _bb_spine(t)
-    if d:
-        seen[:] = t.right, d - 1, end
-    return d, end
-
-
-def _b_power_redex(args: list[CombTerm], budget: int, seen: list) -> int:
+def _b_power_redex(args: list[CombTerm], budget: int) -> int:
     """k if, under a head B, normalize's stack holds B^k z a x1..xk and the
     other arguments of a primitive z, and 2k <= budget; otherwise 0.
 
-    The head B alone is B^1.  B B y is B^k when y is B^(k-1), that is when
-    y's right spine runs through k - 2 B B nodes and ends in B (_bb_spine).
+    The head B alone is B^1.  B B y is B^k when y is B^(k-1): the module's
+    B for k = 2, else a node that recorded power k - 1.
     """
     n = len(args)
     if args[-1] is B and type(z := args[-3]) is Prim:  # B B y z a x1..xk r..
-        d, end = _read_spine(args[-2], seen)
-        k = d + 2
-        if end is B and k <= min(n - 3 - _ARITY[z.name], budget // 2):
+        y = args[-2]
+        k = 2 if y is B else y[2] + 1 if type(y) is App and len(y) == 3 else 0
+        if k and k <= min(n - 3 - _ARITY[z.name], budget // 2):
             return k
     z = args[-1]  # B z a x1 r..
     return 1 if type(z) is Prim and n >= 2 + _ARITY[z.name] and budget >= 2 else 0
@@ -222,8 +214,8 @@ def b_power(n: int) -> CombTerm:
     if n == 0:
         return I
     t: CombTerm = B
-    for _ in range(n - 1):
-        t = App(App(B, B), t)
+    for k in range(2, n + 1):  # the nodes App(App(B, B), t) would build
+        t = _new(App, (_new(App, (B, B)), t, k))
     return t
 
 
@@ -277,9 +269,10 @@ _TOKEN_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|[()])")
 def parse_comb(text: str) -> CombTerm:
     """Parse juxtaposition syntax: 'B x (y z)'.
 
-    The five uppercase single letters B, C, K, W, I are primitives; any
-    other identifier is a free symbol.  Primitives are the module's own
-    B, C, K, W, I, so a parsed power of B is read as one by _bb_spine.
+    The five uppercase single letters B, C, K, W, I are primitives, and
+    always the module's own objects, so a parsed power of B records its
+    power (App); any other identifier is a free symbol.  No text parses to a
+    free symbol named like a primitive.
     """
     return poly.parse_applications(
         poly.tokenize(text, _TOKEN_RE),
@@ -289,17 +282,18 @@ def parse_comb(text: str) -> CombTerm:
 
 
 def format_comb(t: CombTerm) -> str:
-    """Minimal-parenthesis rendering; parse_comb(format_comb(t)) == t.
+    """Minimal-parenthesis rendering; parse_comb(format_comb(t)) == t unless
+    t holds a free symbol named B, C, K, W or I, which prints as that letter
+    and so reads back as the primitive (compile refuses such constants).
 
-    An argument B^k with k >= 2 (read by _bb_spine) is printed in one piece,
-    B B (B B (... (B B B))): the text the node-by-node walk gives it.
+    An argument B^k with k >= 2 (a node that recorded its power, see App)
+    is printed in one piece, B B (B B (... (B B B))): the text the
+    node-by-node walk gives it.
     """
-    seen = [None, 0, None]
+    return poly.format_applications(t, App, _name, _power_text)
 
-    def power_text(a: CombTerm) -> str | None:
-        d, end = _read_spine(a, seen)
-        if end is B and d:
-            return "B B (" * (d - 1) + "B B B" + ")" * (d - 1)
-        return None
 
-    return poly.format_applications(t, App, _name, power_text)
+def _power_text(a: App) -> str | None:
+    if len(a) == 3:
+        return "B B (" * (a[2] - 2) + "B B B" + ")" * (a[2] - 2)
+    return None

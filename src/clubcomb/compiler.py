@@ -18,11 +18,12 @@ chain in application order rebuilds exactly the usage function.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 
 from . import comb, finord, poly
 from .comb import App, CombTerm, FreeSym
-from .errors import ArityMismatch, ArityZero, FuelExhausted, VerificationFailed
+from .errors import ArityMismatch, ArityZero, FuelExhausted, ParseError, VerificationFailed
 from .finord import Club, FinFun, Generator
 
 
@@ -113,8 +114,10 @@ def compile(
     the constant symbols, leaving a term over the remaining variables only.
 
     Raises ClubViolation, through finord.factor, when the usage function is
-    not in the club, and ArityZero when constants fill every slot (no
-    Sequent with an empty context can hold a term).
+    not in the club, ArityZero when constants fill every slot (no Sequent
+    with an empty context can hold a term), and ParseError for a constant
+    named B, C, K, W or I, which the printed term would read back as that
+    primitive.
     With or without verify, the factor chain must recompose to the usage
     (finord.recompose) before it is lifted; otherwise VerificationFailed, or
     ArityMismatch for a chain whose arities do not line up.
@@ -126,11 +129,19 @@ def compile(
     max(2k - 1, 1), and each lift or contraction adds one) and that count is
     the exact reduction budget.  Running out of it, taking any other number
     of steps, or reaching a normal form other than the input's all fail.
+
+    The cyclic garbage collector is paused while the witness is built and
+    verified, and left as it was found on every exit: the witness and the
+    reducer's terms are tuples of tuples, acyclic by construction, so a
+    collection there frees nothing and only walks the growing term.
     """
     if len(constants) > s.context_size:
         raise ArityMismatch(f"{len(constants)} constants exceed {s.context_size} context slots")
     if len(constants) == s.context_size:  # a Sequent with no context holds no term
         raise ArityZero("the term contains constants only; no variables remain")
+    for name in constants:
+        if name in comb.PRIM_NAMES:
+            raise ParseError(f"constant {name} would print as the primitive {name}; rename it")
     dec = poly.usage(s)
     u, skeleton = dec.usage, dec.skeleton
     minimal = finord.minimal_club(u)
@@ -139,24 +150,30 @@ def compile(
     if finord.recompose(chain, u.dom) != u:
         raise VerificationFailed("factor chain does not recompose to the usage")
 
-    term = compile_bracketing(skeleton)
-    leaves = 1 + sum(_added_leaves(turns) for turns in _contractions(skeleton))
-    for g in chain:
-        term = lift(term, g)
-        leaves += _added_leaves(g.i - 1)
-    output = comb.apply(term, [FreeSym(name) for name in constants])
-    steps = 0
-    if verify:
-        try:
-            correct, steps = comb.verify(output, s, leaves, constants)
-        except FuelExhausted as e:
-            raise VerificationFailed(
-                f"verification took more steps than the witness's {leaves} primitives") from e
-        if steps != leaves:
-            raise VerificationFailed(
-                f"verification took {steps} steps; the witness has {leaves} primitives")
-        if not correct:
-            raise VerificationFailed("verification failed")
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        term = compile_bracketing(skeleton)
+        leaves = 1 + sum(_added_leaves(turns) for turns in _contractions(skeleton))
+        for g in chain:
+            term = lift(term, g)
+            leaves += _added_leaves(g.i - 1)
+        output = comb.apply(term, [FreeSym(name) for name in constants])
+        steps = 0
+        if verify:
+            try:
+                correct, steps = comb.verify(output, s, leaves, constants)
+            except FuelExhausted as e:
+                raise VerificationFailed(
+                    f"verification took more steps than the witness's {leaves} primitives") from e
+            if steps != leaves:
+                raise VerificationFailed(
+                    f"verification took {steps} steps; the witness has {leaves} primitives")
+            if not correct:
+                raise VerificationFailed("verification failed")
+    finally:
+        if collecting:
+            gc.enable()
     return CompileReport(
         input=s,
         club_used=club_used,

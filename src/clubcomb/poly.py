@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import namedtuple
 from collections.abc import Callable, Iterator
 from dataclasses import FrozenInstanceError, dataclass
 
@@ -28,22 +29,31 @@ from .errors import (
 )
 from .finord import Club, FinFun
 
+_Pair = namedtuple("_Pair", "left right")  # only its item getters are used
+_new = tuple.__new__
 
-class Binary:
+
+class Binary(tuple):
     """An immutable node with two children: the application of both term
     languages, and the inner node of a bracketing.
 
-    Value semantics as a frozen dataclass with fields left and right, but in
-    slots, and with ==, hash and repr walking an explicit stack, so terms of
-    any depth compare, hash and print without recursion.  Two terms are
-    equal when they have the same node class at every node and equal leaves.
+    A tuple (left, right), allocated in C and read through the C item
+    getters collections.namedtuple installs; a subclass may store more items
+    after those two (comb.App records a power of B there).  Value semantics
+    as a frozen dataclass with fields left and right: assignment and deletion
+    raise FrozenInstanceError, and ==, hash and repr see left and right only
+    and walk an explicit stack, so terms of any depth compare, hash and print
+    without recursion.  Two terms are equal when they have the same node
+    class at every node and equal leaves; a term never equals a plain tuple
+    or a node of another class, and terms are not ordered.
     """
 
-    __slots__ = ("left", "right")
+    __slots__ = ()
+    left = _Pair.left
+    right = _Pair.right
 
-    def __init__(self, left, right):
-        _set_left(self, left)
-        _set_right(self, right)
+    def __new__(cls, left, right):
+        return _new(cls, (left, right))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -56,7 +66,7 @@ class Binary:
 
     def __eq__(self, other):
         if type(other) is not type(self):
-            return NotImplemented
+            return False if isinstance(other, tuple) else NotImplemented
         stack = [(self, other)]
         while stack:
             a, b = stack.pop()
@@ -69,6 +79,17 @@ class Binary:
             elif not a == b:
                 return False
         return True
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __lt__(self, other):
+        if isinstance(other, tuple):  # tuple's own order would compare items
+            raise TypeError(f"{type(self).__qualname__} terms are not ordered")
+        return NotImplemented
+
+    __le__ = __gt__ = __ge__ = __lt__
 
     def __hash__(self):
         return _rebuild(self, hash, _hash_pair)
@@ -84,10 +105,6 @@ class Binary:
                 stack += (")", _repr_child(x.right), ", right=", _repr_child(x.left),
                           f"{type(x).__qualname__}(left=")
         return "".join(parts)
-
-
-_set_left = Binary.left.__set__
-_set_right = Binary.right.__set__
 
 
 def _hash_pair(left: int, right: int) -> int:

@@ -7,7 +7,8 @@ whole term per reduction step instead of a spine-stack machine, a recursive
 parser through a named syntax tree instead of one stack parse straight into
 the usage split, repeated leftmost contraction instead of one pass over
 the shape, isinstance tests over a generic leaf walk instead of exact
-type dispatch, full bubble passes instead of passes that start next to the
+type dispatch, a walk down each B B spine instead of the power a node
+records when it is built, full bubble passes instead of passes that start next to the
 last swaps, and painting every cell of every line instead of summing runs.  Tests compare the two routes, so a shared bug would have to
 be made twice in different shapes.
 """
@@ -198,6 +199,26 @@ def _contract(head: CombTerm, args: list[CombTerm]) -> CombTerm | None:
         case "C" if len(args) >= 3:
             return apply(App(App(args[0], args[2]), args[1]), args[3:])
     return None
+
+
+def bb_spine(t: CombTerm) -> tuple[int, CombTerm]:
+    """(d, u) with t = B B (B B (... (B B u))), d levels, u not itself B B ·.
+
+    Only the module's own B counts (an identity test), as in the power
+    comb.App records: a spine through other Prim("B") objects ends where
+    they begin.
+    """
+    d = 0
+    while type(t) is App and type(bb := t.left) is App and bb.left is comb.B and bb.right is comb.B:
+        t, d = t.right, d + 1
+    return d, t
+
+
+def power_reading(t: CombTerm) -> int:
+    """The power of B that t's shape spells: d + 1 when its B B spine of
+    d levels ends in the module's B, else 0."""
+    d, end = bb_spine(t)
+    return d + 1 if end is comb.B else 0
 
 
 def naive_step(t: CombTerm) -> CombTerm | None:

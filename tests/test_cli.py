@@ -115,6 +115,21 @@ def test_all_constants_input_is_arity_zero_usage_error():
     assert b"constants only" in r.stderr
 
 
+def test_constant_spelled_like_a_primitive_is_a_usage_error():
+    # its printed term would read the constant back as the primitive
+    for name in ("B", "C", "K", "W", "I"):
+        r = run_cli(["compile", "--constants", f"x |- {name} x x"])
+        assert r.returncode == 1
+        assert r.stdout == b""
+        assert r.stderr == f"error: constant {name} would print as the primitive {name}; rename it\n".encode()
+    r = run_cli(["compile", "--json", "--constants", "x |- K x x"])
+    assert r.returncode == 1
+    assert r.stdout.count(b"\n") == 1 and r.stderr == b""
+    obj = json.loads(r.stdout)
+    assert obj == {"command": "compile", "input": "x |- K x x",
+                   "error": "constant K would print as the primitive K; rename it"}
+
+
 def test_unknown_club_rejected_before_computation():
     r = run_cli(["compile", "--club", "ring", "x |- x"])
     assert r.returncode == 1

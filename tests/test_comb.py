@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import operator
 import pickle
 import random
 from dataclasses import FrozenInstanceError
@@ -9,7 +10,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clubcomb import comb, compiler, poly
+from clubcomb import compiler, poly
 from clubcomb.comb import (
     App,
     B,
@@ -152,8 +153,8 @@ def test_b_power_macro_agrees_with_naive_step_loop_at_every_fuel(t):
 
 def fresh_power(k, fresh_from=1):
     """b_power(k) whose B leaves from level fresh_from down are new Prim("B")
-    objects, equal to comb.B but not it: _bb_spine reads the chain only down
-    to them, so the reducer and the printer must fall back to the generic
+    objects, equal to comb.B but not it: no node at or above them records a
+    power, so the reducer and the printer must fall back to the generic
     path there and give the same result."""
     def b(level):
         return Prim("B") if level >= fresh_from else B
@@ -196,7 +197,7 @@ def test_parse_comb_returns_the_module_primitives():
         assert parse_comb(prim.name) is prim
     power = parse_comb("B B (B B (B B B))")
     assert power == b_power(4)
-    assert comb._bb_spine(power) == (3, B)  # read whole, down to the module's B
+    assert power[2] == 4  # recorded whole, down to the module's B
 
 
 def test_b_power_macro_agrees_on_compiled_witnesses_at_every_fuel():
@@ -210,12 +211,10 @@ def test_b_power_macro_agrees_on_compiled_witnesses_at_every_fuel():
         assert_agrees_with_naive_at_every_fuel(w, report.steps + 1)
 
 
-def test_b_power_spine_is_read_once_per_chain(monkeypatch):
+def test_b_power_spine_is_read_once_per_chain():
     # where the macro cannot fire, single steps bring the B B nodes of a long
-    # chain to the head one after another; the chain is walked only once
-    walked = []
-    spine = comb._bb_spine
-    monkeypatch.setattr(comb, "_bb_spine", lambda t: walked.append(t) or spine(t))
+    # chain to the head one after another; each reads the power its node
+    # recorded, and the result is that of single steps
     m = 300
     v = syms(*[f"v{k}" for k in range(1, m + 3)])
     ends_in_x = FreeSym("x")
@@ -223,10 +222,8 @@ def test_b_power_spine_is_read_once_per_chain(monkeypatch):
         ends_in_x = apply(B, [B, ends_in_x])
     for t in [apply(ends_in_x, [K, FreeSym("a"), *v]),  # not a B-power
               apply(b_power(m), [K, FreeSym("a"), *v[:m - 5]])]:  # too few arguments
-        walked.clear()
         r = normalize(t)
         assert (r.term, r.steps, r.status) == naive_normalize(t, DEFAULT_FUEL)
-        assert len(walked) == 1
 
 
 def test_normalize_deep_terms_without_recursion():
@@ -374,12 +371,15 @@ _PRINTED_ATOMS = (
 )
 
 
-@settings(max_examples=300)
-@given(st.recursive(
+_PRINTED_TERMS = st.recursive(
     st.sampled_from([B, C, K, W, I, Prim("B"), FreeSym("p"), FreeSym("q")] + _PRINTED_ATOMS),
     lambda c: st.tuples(c, c).map(lambda lr: App(*lr)),
     max_leaves=12,
-))
+)
+
+
+@settings(max_examples=300)
+@given(_PRINTED_TERMS)
 def test_format_comb_prints_powers_of_b_whole_as_the_walk_does(t):
     text = format_comb(t)
     assert text == oracles.naive_format_comb(t)
@@ -398,16 +398,11 @@ def test_format_comb_matches_the_walk_on_compiled_witnesses():
         assert parse_comb(text) == w
 
 
-def test_format_comb_reads_a_long_broken_chain_once(monkeypatch):
-    walked = []
-    spine = comb._bb_spine
-    monkeypatch.setattr(comb, "_bb_spine", lambda t: walked.append(t) or spine(t))
+def test_format_comb_reads_a_long_broken_chain_once():
     m = 300
     for end in (FreeSym("x"), App(C, FreeSym("x"))):
-        walked.clear()
         t = App(FreeSym("f"), bb_chain(m, end))
         assert format_comb(t) == oracles.naive_format_comb(t)
-        assert len(walked) <= 2
 
 
 def test_free_symbols_and_primitives():
@@ -467,6 +462,111 @@ def test_applications_are_immutable_values():
     assert App(left=B, right=I) == t and {t: 1}[App(B, I)] == 1
     assert copy.copy(t) == t and copy.deepcopy(t) == t
     assert pickle.loads(pickle.dumps(t)) == t
+
+
+def stored_power(node):
+    """The power of B an application node recorded when it was built, or 0."""
+    return node[2] if len(node) == 3 else 0
+
+
+def applications(t):
+    """Every application node of t, once per occurrence."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if type(node) is App:
+            yield node
+            stack += (node.right, node.left)
+
+
+def assert_powers_are_the_shape_readings(t):
+    for node in applications(t):
+        assert stored_power(node) == oracles.power_reading(node), node
+
+
+@settings(max_examples=300)
+@given(_PRINTED_TERMS)
+def test_stored_powers_are_the_shape_readings(t):
+    assert_powers_are_the_shape_readings(t)
+    assert_powers_are_the_shape_readings(parse_comb(format_comb(t)))
+    assert_powers_are_the_shape_readings(normalize(t, 200).term)
+
+
+@settings(max_examples=100)
+@given(st.recursive(
+    st.sampled_from([B, C, K, W, I, FreeSym("p")] + _POWERS + _FRESH_POWERS),
+    lambda c: st.builds(lambda head, rest: apply(head, rest),
+                        st.sampled_from(_POWERS) | c, st.lists(c, max_size=6)),
+    max_leaves=16,
+), st.integers(min_value=1, max_value=80))
+def test_normal_forms_record_their_powers(t, fuel):
+    assert_powers_are_the_shape_readings(normalize(t, fuel).term)
+
+
+def test_stored_powers_of_built_parsed_fresh_and_broken_towers():
+    for k in range(2, 301):
+        assert stored_power(b_power(k)) == oracles.power_reading(b_power(k)) == k
+    assert_powers_are_the_shape_readings(b_power(300))
+    for k in range(2, 40):
+        parsed = parse_comb(format_comb(b_power(k)))
+        assert_powers_are_the_shape_readings(parsed)
+        assert parsed[2] == k
+        for j in range(1, k + 1):
+            fresh = fresh_power(k, j)
+            assert_powers_are_the_shape_readings(fresh)
+            # the bottom B is always a new Prim("B"), so no node reads a power
+            assert not any(map(stored_power, applications(fresh)))
+        for end in (C, FreeSym("p"), App(C, FreeSym("p")), App(B, B), b_power(k)):
+            assert_powers_are_the_shape_readings(bb_chain(k, end))
+    assert stored_power(bb_chain(5, b_power(3))) == 8
+    assert stored_power(bb_chain(5, App(C, b_power(3)))) == 0
+
+
+def test_b_power_builds_what_nested_applications_build():
+    for k in range(61):
+        built = I if k == 0 else B
+        for _ in range(k - 1):
+            built = App(App(B, B), built)
+        stack = [(b_power(k), built)]
+        while stack:
+            a, b = stack.pop()
+            assert type(a) is type(b)
+            if type(a) is App:
+                assert tuple(a) == tuple(b)  # the stored power included
+                stack += ((a.left, b.left), (a.right, b.right))
+            else:
+                assert a is b
+
+
+def test_terms_are_values_apart_from_tuples_and_other_node_classes():
+    power, fresh = b_power(3), fresh_power(3)
+    t = App(K, x)
+    others = [(B, I), tuple(power), poly.App(B, I), poly.Node(B, I), poly.App(K, x)]
+    for a in (App(B, I), power, fresh, t):
+        for b in others:
+            assert not a == b and not b == a and a != b and b != a
+        for b in others + [a, App(B, I), power, fresh, t, 1, None, "B"]:
+            assert (a != b) is (not a == b) and (b != a) is (not b == a)
+    # == and hash see left and right only, never the recorded power
+    assert (len(power), len(fresh)) == (3, 2)
+    assert power == fresh and fresh == power and hash(power) == hash(fresh)
+    bare = tuple.__new__(App, (App(B, B), B))
+    assert len(bare) == 2 and bare == b_power(2) and hash(bare) == hash(b_power(2))
+    for a, b in [(t, t), (power, fresh), (t, (K, x)), ((K, x), t), (t, 1), (power, tuple(power)),
+                 (poly.App(B, I), App(B, I)), (poly.Node(B, I), (B, I))]:
+        for order in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                order(a, b)
+    for term in (t, power, fresh, b_power(40)):
+        for copied in (copy.copy(term), copy.deepcopy(term), pickle.loads(pickle.dumps(term))):
+            assert copied == term and type(copied) is App
+            assert_powers_are_the_shape_readings(copied)
+    # copies of the module's B are new Prim objects: single steps, as before
+    assert stored_power(copy.deepcopy(power)) == 0 and stored_power(copy.copy(power)) == 3
+    with pytest.raises(FrozenInstanceError):
+        power.left = B
+    with pytest.raises(FrozenInstanceError):
+        del power.right
 
 
 def test_verify_compares_leaves_exactly():

@@ -1,7 +1,10 @@
 """Compilation: bracketing witnesses, generator lifts, and the full pipeline."""
 
+import gc
 import itertools
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +17,7 @@ from clubcomb.errors import (
     ArityZero,
     ClubViolation,
     IndexOutOfRange,
+    ParseError,
     VerificationFailed,
 )
 from clubcomb.finord import Club, FinFun
@@ -339,3 +343,67 @@ def test_compile_with_constants_single_constant_arity_zero():
     s, consts = poly.parse_with_constants("|- k")
     with pytest.raises(ArityZero):
         compile(s, constants=consts)
+
+
+def test_compile_refuses_constants_spelled_like_primitives():
+    # format_comb would print the constant K as K, which parse_comb reads as
+    # the primitive: the printed term would compute something else
+    for name in ("B", "C", "K", "W", "I"):
+        s, constants = poly.parse_with_constants(f"x |- {name} x x")
+        with pytest.raises(ParseError, match=f"constant {name} would print as the primitive"):
+            compile(s, constants=constants)
+    s, constants = poly.parse_with_constants("x |- Ka x x")
+    report = compile(s, constants=constants)
+    assert comb.parse_comb(comb.format_comb(report.output)) == report.output
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_compile_leaves_the_collector_as_it_found_it(collecting, monkeypatch):
+    found = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        seen = []
+        normalize = comb.normalize
+        monkeypatch.setattr(comb, "normalize",
+                            lambda t, fuel: seen.append(gc.isenabled()) or normalize(t, fuel))
+        assert compile(poly.parse("x,y |- y (x y)")).verified
+        assert seen == [False]  # paused while the witness is verified
+        assert gc.isenabled() is collecting
+        with pytest.raises(ClubViolation):
+            compile(poly.parse("x1,x2 |- x2 x1"), club=Club.ID)
+        assert gc.isenabled() is collecting
+        s, constants = poly.parse_with_constants("x |- K x x")
+        with pytest.raises(ParseError):
+            compile(s, constants=constants)
+        assert gc.isenabled() is collecting
+        # a reducer that returns its input unreduced, in exactly the budget
+        monkeypatch.setattr(comb, "normalize", lambda t, fuel: comb.ReductionResult(
+            t, fuel, comb.ReductionStatus.NORMAL))
+        with pytest.raises(VerificationFailed, match="verification failed"):
+            compile(poly.parse("x,y |- y x"))
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if found else gc.disable)()
+
+
+_REVERSAL_192 = """
+import time
+from clubcomb import compiler, poly
+
+n = 192
+term = poly.Var(n)
+for j in range(n - 1, 0, -1):
+    term = poly.App(term, poly.Var(j))
+start = time.perf_counter()
+report = compiler.compile(poly.Sequent(n, term))
+print(report.verified, report.steps, time.perf_counter() - start)
+"""
+
+
+def test_192_occurrence_left_comb_reversal_verifies_within_4_seconds():
+    # a fresh interpreter, so no garbage this suite left behind is scanned
+    r = subprocess.run([sys.executable, "-c", _REVERSAL_192],
+                       capture_output=True, text=True, check=True)
+    verified, steps, seconds = r.stdout.split()
+    assert (verified, steps) == ("True", "2323325")
+    assert float(seconds) < 4, seconds
