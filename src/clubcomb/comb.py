@@ -13,6 +13,7 @@ makes it total (W W W steps to itself forever, so some budget must exist).
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -111,14 +112,15 @@ def normalize(t: CombTerm, fuel: int = DEFAULT_FUEL) -> ReductionResult:
     One macro rule takes many root steps at once.  B^k z a x1 .. xk, with
     B^k = b_power(k), needs 2k - 1 steps to reach z (a x1 .. xk); when z is a
     primitive whose other arguments r.. are on the stack too, its own step
-    makes a the head again.  So when the head is B^k (B itself, or B B y
-    with y's power read in O(1) from the item App recorded when y was
-    built), z is a primitive with all its arguments, and at least 2k steps
-    of fuel remain, the machine leaves x1 .. xk where they are, applies z's
-    rule to the r.. beneath them, makes a the head and counts 2k steps.
-    All 2k are root steps, so no other redex comes between them and the
-    order, the count and the normal form are those of single steps.  With less fuel it takes single steps, so the term at exhaustion
-    is too.
+    makes a the head again.  A node that recorded its power k (see App) is
+    the head B^k as it stands, and the head B is B^1.  When z is a primitive
+    with all its arguments and at least 2k steps of fuel remain, the machine
+    leaves x1 .. xk where they are, applies z's rule to the r.. beneath
+    them, makes a the head and counts 2k steps.  All 2k are root steps, so
+    no other redex comes between them and the order, the count and the
+    normal form are those of single steps.  Otherwise a recorded power is
+    unwound like any other application and B takes a single step, so the
+    term at exhaustion is that of single steps too.
     """
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
@@ -128,22 +130,29 @@ def normalize(t: CombTerm, fuel: int = DEFAULT_FUEL) -> ReductionResult:
     while True:
         while True:
             while type(head) is App:
+                if len(head) == 3:  # a recorded B^k: it fires whole, or is unwound
+                    k = head[2]
+                    n = len(args)
+                    if (n > k + 1 and type(z := args[-1]) is Prim
+                            and n > k + _ARITY[z.name] and steps + 2 * k <= fuel):
+                        break
                 args.append(head.right)
                 head = head.left
-            if type(head) is not Prim or len(args) < _ARITY[head.name]:
-                break
-            if steps == fuel:
-                return ReductionResult(
-                    _rebuild(head, args, frames), steps, ReductionStatus.FUEL_EXHAUSTED)
-            name = head.name
-            k = _b_power_redex(args, fuel - steps) if name == "B" else 0
+            else:  # a leaf is the head
+                if type(head) is not Prim or len(args) < _ARITY[head.name]:
+                    break
+                if steps == fuel:
+                    return ReductionResult(
+                        _rebuild(head, args, frames), steps, ReductionStatus.FUEL_EXHAUSTED)
+                name = head.name
+                z = args[-1]  # B is B^1
+                k = 1 if (name == "B" and type(z) is Prim
+                          and len(args) > 1 + _ARITY[z.name] and steps + 2 <= fuel) else 0
             if k:  # B^k z a x1..xk r.. -> a x1..xk r'..
-                i = len(args) - (4 if k > 1 else 2)  # a; above it z, and B^(k-1), B if k > 1
-                name = args[i + 1].name
-                head = args[i]
-                del args[i:]
+                name = args.pop().name
+                head = args.pop()
                 steps += 2 * k
-                r = i - k - 1  # beneath x1..xk
+                r = len(args) - k - 1  # beneath x1..xk
             else:
                 steps += 1
                 head = args.pop()
@@ -172,23 +181,6 @@ def normalize(t: CombTerm, fuel: int = DEFAULT_FUEL) -> ReductionResult:
             frames[-1][2].append(done)
 
 
-def _b_power_redex(args: list[CombTerm], budget: int) -> int:
-    """k if, under a head B, normalize's stack holds B^k z a x1..xk and the
-    other arguments of a primitive z, and 2k <= budget; otherwise 0.
-
-    The head B alone is B^1.  B B y is B^k when y is B^(k-1): the module's
-    B for k = 2, else a node that recorded power k - 1.
-    """
-    n = len(args)
-    if args[-1] is B and type(z := args[-3]) is Prim:  # B B y z a x1..xk r..
-        y = args[-2]
-        k = 2 if y is B else y[2] + 1 if type(y) is App and len(y) == 3 else 0
-        if k and k <= min(n - 3 - _ARITY[z.name], budget // 2):
-            return k
-    z = args[-1]  # B z a x1 r..
-    return 1 if type(z) is Prim and n >= 2 + _ARITY[z.name] and budget >= 2 else 0
-
-
 def _rebuild(head: CombTerm, args: list[CombTerm], frames: list[list]) -> CombTerm:
     """The whole term held by normalize's machine, where reduction stopped."""
     t = apply(head, args[::-1])
@@ -214,8 +206,9 @@ def b_power(n: int) -> CombTerm:
     if n == 0:
         return I
     t: CombTerm = B
-    for k in range(2, n + 1):  # the nodes App(App(B, B), t) would build
-        t = _new(App, (_new(App, (B, B)), t, k))
+    new, app, bb = _new, App, (B, B)
+    for k in range(2, n + 1):  # App(App(B, B), t), with a new B B node per level
+        t = new(app, (new(app, bb), t, k))
     return t
 
 
@@ -286,14 +279,17 @@ def format_comb(t: CombTerm) -> str:
     t holds a free symbol named B, C, K, W or I, which prints as that letter
     and so reads back as the primitive (compile refuses such constants).
 
-    An argument B^k with k >= 2 (a node that recorded its power, see App)
-    is printed in one piece, B B (B B (... (B B B))): the text the
-    node-by-node walk gives it.
+    A node that recorded its power k (see App), met as a spine head or as
+    an argument, is printed in one piece, B B (B B (... (B B B))): the text
+    the node-by-node walk gives it.
     """
     return poly.format_applications(t, App, _name, _power_text)
 
 
-def _power_text(a: App) -> str | None:
-    if len(a) == 3:
-        return "B B (" * (a[2] - 2) + "B B B" + ")" * (a[2] - 2)
-    return None
+def _power_text(a: App) -> str:
+    return _b_text(a[2])
+
+
+@functools.lru_cache(maxsize=1024)
+def _b_text(k: int) -> str:
+    return "B B (" * (k - 2) + "B B B" + ")" * (k - 2)

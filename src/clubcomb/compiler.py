@@ -60,6 +60,13 @@ def _added_leaves(k: int) -> int:
     return 2 * k if k else 2
 
 
+# Per generator family: comb's own C, K or W, never a fresh Prim, so every
+# lift shares one leaf object, and the family's domain minus n.
+_LIFTS = {kind: (getattr(comb, name), offset)
+          for kind, (_, name, offset) in finord._FAMILIES.items()}
+_new = tuple.__new__
+
+
 def lift(a: CombTerm, g: Generator) -> CombTerm:
     """From a witness a of f (arity g.dom) to one of f o g: B^(i-1) P a.
 
@@ -67,11 +74,12 @@ def lift(a: CombTerm, g: Generator) -> CombTerm:
     i-th argument) and W for a degeneracy.  The face d(1,1) would need a
     witness of arity 0, which no polynomial has.
     """
-    _, name, offset = finord._FAMILIES[g.kind]
-    if g.n + offset == 0:
+    kind, n, i = g
+    prim, offset = _LIFTS[kind]
+    if n + offset == 0:
         raise ArityZero("cannot lift a face into a one-argument witness")
-    # comb's own C, K or W, never a fresh Prim: every lift shares one leaf object
-    return App(App(comb.b_power(g.i - 1), getattr(comb, name)), a)
+    # neither node is B B y, so neither records a power (App)
+    return _new(App, (_new(App, (comb.b_power(i - 1), prim)), a))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -118,6 +119,15 @@ class GenKind(Enum):
     DEGENERACY = "degeneracy"
     FACE = "face"
 
+    # Members are singletons compared by identity, so the identity hash
+    # agrees with ==, and it is computed in C, not by Enum's hash of the name.
+    __hash__ = object.__hash__
+
+
+# A member read through GenKind's metaclass costs about 0.15 us; the hot
+# loops below compare against these instead.
+_TRANSPOSITION = GenKind.TRANSPOSITION
+_DEGENERACY = GenKind.DEGENERACY
 
 # Each generator family, keyed in Classification order by the property its
 # generators break, so a club admits them once it drops that requirement
@@ -129,26 +139,65 @@ _FAMILIES: dict[GenKind, tuple[str, str, int]] = {
     GenKind.TRANSPOSITION: ("t", "C", 0),
 }
 
+_Triple = namedtuple("_Triple", "kind n i")  # only its item getters are used
+_new = tuple.__new__
 
-@dataclass(frozen=True)
-class Generator:
+
+class Generator(tuple):
     """One of the three generator families, identified by kind and indices.
 
     t(n,i): n -> n        swaps i and i+1             (needs n > 1, 1 <= i < n)
     s(n,i): n+1 -> n      merges i and i+1            (needs 1 <= i <= n)
     d(n,i): n-1 -> n      skips the value i           (needs 1 <= i <= n)
+
+    A tuple (kind, n, i), allocated in C and read through the C item getters
+    collections.namedtuple installs.  Value semantics as a frozen dataclass
+    with those three fields: assignment and deletion raise
+    FrozenInstanceError, == and hash go by (kind, n, i), a generator never
+    equals a plain tuple or a tuple of another class, and generators are not
+    ordered.
     """
 
-    kind: GenKind
-    n: int
-    i: int
+    __slots__ = ()
+    __match_args__ = ("kind", "n", "i")
+    kind = _Triple.kind
+    n = _Triple.n
+    i = _Triple.i
 
-    def __post_init__(self):
-        if self.kind is GenKind.TRANSPOSITION:
-            if not 1 <= self.i < self.n:
-                raise IndexOutOfRange(f"{self} needs 1 <= i < n, n > 1")
-        elif not 1 <= self.i <= self.n:
-            raise IndexOutOfRange(f"{self} needs 1 <= i <= n")
+    def __new__(cls, kind: GenKind, n: int, i: int):
+        if not (1 <= i < n if kind is _TRANSPOSITION else 1 <= i <= n):
+            need = "1 <= i < n, n > 1" if kind is _TRANSPOSITION else "1 <= i <= n"
+            raise IndexOutOfRange(f"{_FAMILIES[kind][0]}({n},{i}) needs {need}")
+        return _new(cls, (kind, n, i))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __lt__(self, other):
+        if isinstance(other, tuple):  # tuple's own order would compare items
+            raise TypeError("generators are not ordered")
+        return NotImplemented
+
+    __le__ = __gt__ = __ge__ = __lt__
+    __hash__ = tuple.__hash__
+
+    def __repr__(self) -> str:
+        return f"Generator(kind={self.kind!r}, n={self.n!r}, i={self.i!r})"
 
     def __str__(self) -> str:
         return f"{_FAMILIES[self.kind][0]}({self.n},{self.i})"
@@ -307,14 +356,17 @@ def factor(f: FinFun, c: Club) -> list[Generator]:
     # carries rightward while it swaps: the same swaps, in O(m + swaps).
     todo = range(1, m)
     while todo:
-        first, done = len(gens), 0  # pairs 1..done were compared in this pass
+        swaps: list[int] = []
+        done = 0  # pairs 1..done were compared in this pass
         for i in todo:
             while i > done and i < m and table[i - 1] > table[i]:
                 table[i - 1], table[i] = table[i], table[i - 1]
-                gens.append(transposition(m, i))
+                swaps.append(i)
                 i += 1
-            done = max(done, i)
-        todo = [g.i - 1 for g in gens[first:] if g.i > 1]
+            if i > done:
+                done = i
+        gens += [Generator(_TRANSPOSITION, m, i) for i in swaps]
+        todo = [i - 1 for i in swaps if i > 1]
 
     # table is now monotone.  Merging the leftmost equal pair first, every
     # repeat merges into the last of the distinct values before it, so one
@@ -352,11 +404,12 @@ def recompose(chain: list[Generator] | tuple[Generator, ...], dom: int) -> FinFu
     left: list = []
     right: list = list(zip(range(dom - 1, -1, -1)))
     for g in chain:
+        kind, size, i = g
         n = len(left) + len(right)
-        if g.dom != n:
+        if size + _FAMILIES[kind][2] != n:
             raise ArityMismatch(f"{g} cannot follow a map onto {n} points")
-        i, k = g.i, len(left)
-        if g.kind is GenKind.TRANSPOSITION:  # blocks i and i+1 sit at 0-based i-1, i
+        k = len(left)
+        if kind is _TRANSPOSITION:  # blocks i and i+1 sit at 0-based i-1, i
             if i < k:
                 left[i - 1], left[i] = left[i], left[i - 1]
             elif i > k:
@@ -365,12 +418,13 @@ def recompose(chain: list[Generator] | tuple[Generator, ...], dom: int) -> FinFu
             else:
                 left[-1], right[-1] = right[-1], left[-1]
             continue
-        k = i if g.kind is GenKind.DEGENERACY else i - 1  # move the finger to k
+        merge = kind is _DEGENERACY
+        k = i if merge else i - 1  # move the finger to k
         while len(left) > k:
             right.append(left.pop())
         while len(left) < k:
             left.append(right.pop())
-        if g.kind is GenKind.DEGENERACY:
+        if merge:
             big, small = left[-1], right.pop()
             if len(big) < len(small):
                 big, small = small, big

@@ -366,32 +366,36 @@ def parse(text: str) -> Sequent:
     return s
 
 
-def format_applications(t, app: type, name: Callable, arg: Callable | None = None) -> str:
+def format_applications(t, app: type, name: Callable, node: Callable | None = None) -> str:
     """Juxtaposition with minimal parentheses: only an argument that is itself
     an application (of type app exactly) is parenthesized; name renders a leaf.
 
-    arg, if given, may render such an argument in one piece: it returns the
-    text to parenthesize, or None to leave the argument to the walk.
+    node renders in one piece an application that stores items beyond left
+    and right (comb.App records a power of B there), wherever the walk meets
+    one: as the head of a spine or as an argument, which it parenthesizes.
+    Without node, every application is walked through its left and right.
     """
     parts: list[str] = []
     stack: list = [t]  # terms to render and finished text, next on top
     while stack:
-        node = stack.pop()
-        if type(node) is str:
-            parts.append(node)
+        x = stack.pop()
+        if type(x) is str:
+            parts.append(x)
             continue
-        while type(node) is app:  # down the left spine, arguments onto the stack
-            right = node.right
-            if type(right) is app:
-                text = arg and arg(right)
-                if text is None:
-                    stack += (")", right, " (")
-                else:
-                    stack.append(f" ({text})")
-            else:
+        while type(x) is app:  # down the left spine, arguments onto the stack
+            if len(x) > 2 and node:
+                parts.append(node(x))
+                break
+            right = x.right
+            if type(right) is not app:
                 stack.append(" " + name(right))
-            node = node.left
-        parts.append(name(node))
+            elif len(right) > 2 and node:
+                stack.append(f" ({node(right)})")
+            else:
+                stack += (")", right, " (")
+            x = x.left
+        else:
+            parts.append(name(x))
     return "".join(parts)
 
 

@@ -192,6 +192,67 @@ def test_b_power_macro_falls_back_on_powers_of_other_b_objects(t):
     assert_agrees_with_naive_at_every_fuel(t, 80)
 
 
+def assert_agrees_with_naive_to_the_end(t):
+    """At every fuel from 1 to one past the steps single steps take."""
+    steps = naive_normalize(t, DEFAULT_FUEL)[1]
+    assert_agrees_with_naive_at_every_fuel(t, steps + 1)
+    return steps
+
+
+def power_redexes(power, k):
+    """power applied as B^k to z, a, x1..xk and z's other arguments, for
+    heads z that let the macro fire and heads that do not: z a free symbol,
+    an application, or a primitive one argument short, and z B."""
+    p, q, a = FreeSym("p"), FreeSym("q"), FreeSym("a")
+    xs = syms(*[f"x{j}" for j in range(1, k + 1)])
+    rs = syms("r1", "r2", "r3")
+    redexes = []
+    for z in (B, C, K, W, I):
+        arity = {"B": 3, "C": 3, "K": 2, "W": 2, "I": 1}[z.name]
+        redexes += [apply(power, [z, a, *xs, *rs[:arity - 1]]),  # fires
+                    apply(power, [z, a, *xs[:-1]])]  # too few x
+        if arity > 1:  # z one argument short
+            redexes.append(apply(power, [z, a, *xs, *rs[:arity - 2]]))
+    for z in (p, App(C, p), App(B, B), b_power(2), apply(K, [p, q])):
+        redexes += [apply(power, [z, a, *xs, *rs]), apply(power, [z, a, *xs[:-1]])]
+    # B^k's own redexes inside its arguments
+    redexes.append(apply(power, [C, App(I, a), *xs, App(K, p), App(W, q)]))
+    return redexes
+
+
+def test_recorded_power_heads_agree_with_naive_step_loop_at_every_fuel():
+    for k in range(2, 6):
+        power = b_power(k)
+        assert stored_power(power) == k
+        for t in power_redexes(power, k):
+            assert_agrees_with_naive_to_the_end(t)
+        # fuel 2k - 1 stops the macro one step short, 2k lets it fire
+        t = apply(power, [C, FreeSym("a"), *syms(*[f"x{j}" for j in range(k)]), x, y])
+        assert naive_normalize(t, DEFAULT_FUEL)[1] == 2 * k
+        for fuel in (2 * k - 1, 2 * k):
+            r = normalize(t, fuel)
+            assert (r.term, r.steps, r.status) == naive_normalize(t, fuel)
+
+
+def test_power_arguments_under_a_stuck_head_agree_at_every_fuel():
+    f, a = FreeSym("f"), FreeSym("a")
+    for k in range(2, 5):
+        power = b_power(k)
+        redex = apply(power, [W, a, *syms(*[f"x{j}" for j in range(k)]), y])
+        for t in (App(f, power), apply(f, [power, redex, power]),
+                  apply(f, [App(power, C), redex]), App(f, App(f, redex))):
+            assert_agrees_with_naive_to_the_end(t)
+
+
+def test_fresh_b_towers_agree_with_naive_step_loop_at_every_fuel():
+    for k in range(2, 6):
+        for j in range(1, k + 1):
+            tower = fresh_power(k, j)
+            assert not any(map(stored_power, applications(tower)))
+            for t in power_redexes(tower, k):
+                assert_agrees_with_naive_to_the_end(t)
+
+
 def test_parse_comb_returns_the_module_primitives():
     for prim in (B, C, K, W, I):
         assert parse_comb(prim.name) is prim
@@ -384,6 +445,32 @@ def test_format_comb_prints_powers_of_b_whole_as_the_walk_does(t):
     text = format_comb(t)
     assert text == oracles.naive_format_comb(t)
     assert parse_comb(text) == t
+
+
+# Spines whose head, and whose arguments, are often one of the atoms above:
+# a recorded power, a fresh-B tower or a B B chain cut short.
+@settings(max_examples=300)
+@given(st.recursive(
+    st.sampled_from([B, C, K, W, I, Prim("B"), FreeSym("p")] + _PRINTED_ATOMS),
+    lambda c: st.builds(lambda head, rest: apply(head, rest),
+                        st.sampled_from(_PRINTED_ATOMS) | c,
+                        st.lists(st.sampled_from(_PRINTED_ATOMS) | c, max_size=5)),
+    max_leaves=12,
+))
+def test_format_comb_prints_power_heads_and_arguments_as_the_walk_does(t):
+    text = format_comb(t)
+    assert text == oracles.naive_format_comb(t)
+    assert parse_comb(text) == t
+
+
+def test_format_comb_prints_a_power_whole_at_the_top_and_under_a_symbol():
+    for k in range(2, 40):
+        power = b_power(k)
+        for t in (power, App(power, C), App(FreeSym("f"), power), App(App(power, power), power),
+                  bb_chain(k, C), App(bb_chain(k, App(C, power)), power), fresh_power(k)):
+            assert format_comb(t) == oracles.naive_format_comb(t)
+    assert format_comb(App(b_power(3), FreeSym("f"))) == "B B (B B B) f"
+    assert format_comb(App(FreeSym("f"), b_power(3))) == "f (B B (B B B))"
 
 
 def test_format_comb_matches_the_walk_on_compiled_witnesses():

@@ -1,15 +1,21 @@
 """Finite functions, generators, clubs, and factorization."""
 
+import copy
+import itertools
+import operator
 import pathlib
+import pickle
 import random
 import resource
 import subprocess
 import sys
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
-from clubcomb import finord
+from clubcomb import comb, finord, poly
 from clubcomb.errors import (
     ArityMismatch,
     ClubViolation,
@@ -21,6 +27,7 @@ from clubcomb.finord import (
     Club,
     FinFun,
     GenKind,
+    Generator,
     add,
     basis,
     classify,
@@ -186,6 +193,50 @@ def test_generator_index_validation():
         with pytest.raises(IndexOutOfRange) as e:
             make(n, i)
         assert str(e.value) == message
+    letters = {GenKind.TRANSPOSITION: "t", GenKind.DEGENERACY: "s", GenKind.FACE: "d"}
+    for kind, n, i in itertools.product(GenKind, range(-1, 5), range(-1, 6)):
+        legal = 1 <= i < n if kind is GenKind.TRANSPOSITION else 1 <= i <= n
+        if legal:
+            assert Generator(kind=kind, n=n, i=i) == Generator(kind, n, i)
+            continue
+        need = "1 <= i < n, n > 1" if kind is GenKind.TRANSPOSITION else "1 <= i <= n"
+        with pytest.raises(IndexOutOfRange) as e:
+            Generator(kind, n, i)
+        assert str(e.value) == f"{letters[kind]}({n},{i}) needs {need}"
+
+
+def test_generators_are_values_apart_from_tuples_and_terms():
+    g = transposition(3, 1)
+    assert repr(g) == "Generator(kind=<GenKind.TRANSPOSITION: 'transposition'>, n=3, i=1)"
+    assert repr(face(4, 4)) == "Generator(kind=<GenKind.FACE: 'face'>, n=4, i=4)"
+    assert (g.kind, g.n, g.i, g.dom) == (GenKind.TRANSPOSITION, 3, 1, 3)
+    assert (degeneracy(2, 1).dom, face(3, 3).dom) == (3, 2)
+    # == and hash go by (kind, n, i)
+    same = Generator(GenKind.TRANSPOSITION, 3, 1)
+    assert g == same and not g != same and hash(g) == hash(same) and {g: 1}[same] == 1
+    for other in (transposition(3, 2), transposition(4, 1), degeneracy(3, 1), face(3, 1)):
+        assert g != other and not g == other
+    assert len({g, same, transposition(3, 2), degeneracy(2, 1), degeneracy(2, 1)}) == 3
+    # never equal to a plain tuple, a term node, or anything else
+    others = [(GenKind.TRANSPOSITION, 3, 1), tuple(g), [GenKind.TRANSPOSITION, 3, 1],
+              poly.App(poly.Var(3), poly.Var(1)), poly.Node(poly.LEAF, poly.LEAF),
+              comb.b_power(2), comb.App(comb.B, comb.I), 1, None, "t(3,1)"]
+    for other in others:
+        assert not g == other and not other == g and g != other and other != g
+    # not ordered, whatever the other operand
+    for a, b in [(g, g), (g, transposition(3, 2)), (g, (GenKind.TRANSPOSITION, 3, 2)),
+                 ((GenKind.TRANSPOSITION, 3, 2), g), (g, comb.b_power(2)), (g, 1)]:
+        for order in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                order(a, b)
+    with pytest.raises(FrozenInstanceError):
+        g.n = 4
+    with pytest.raises(FrozenInstanceError):
+        del g.i
+    assert g.n == 3
+    for gen in (g, degeneracy(2, 1), face(3, 3)):
+        for copied in (copy.copy(gen), copy.deepcopy(gen), pickle.loads(pickle.dumps(gen))):
+            assert copied == gen and type(copied) is Generator and str(copied) == str(gen)
 
 
 def test_generator_notation():
@@ -414,8 +465,11 @@ def test_factor_transposition_count_bound():
 def test_factor_transpositions_match_a_full_bubble_sort():
     # later passes start only next to the last pass's swaps: same swaps, same order
     def check(f, c):
-        expected = [transposition(f.dom, i) for i in oracles.bubble_transpositions(f.table)]
-        assert [g for g in factor(f, c) if g.kind is GenKind.TRANSPOSITION] == expected, (f, c)
+        swaps = oracles.bubble_transpositions(f.table)
+        expected = [transposition(f.dom, i) for i in swaps]
+        got = [g for g in factor(f, c) if g.kind is GenKind.TRANSPOSITION]
+        assert got == expected, (f, c)
+        assert [(type(g), g.n, g.i) for g in got] == [(Generator, f.dom, i) for i in swaps]
 
     for f in oracles.universe(5):
         for c in Club:

@@ -5,7 +5,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import given, strategies as st
 
-from clubcomb import finord, poly
+from clubcomb import comb, finord, poly
 from clubcomb.errors import (
     ArityMismatch,
     ClubCombError,
@@ -22,6 +22,7 @@ from clubcomb.poly import (
     Var,
     act,
     all_bracketings,
+    format_applications,
     format_bracketing,
     format_sequent,
     length,
@@ -113,6 +114,14 @@ def test_format_sequent_roundtrip():
 @given(sequents(max_context=5, max_leaves=16))
 def test_format_sequent_matches_the_isinstance_reference(s):
     assert format_sequent(s) == oracles.naive_format_sequent(s)
+
+
+def test_format_applications_walks_every_node_without_a_node_hook():
+    # comb.App stores B^k's power as a third item; without a hook for such
+    # nodes the walk goes through their left and right like any other
+    t = comb.App(comb.App(comb.b_power(4), comb.C), comb.b_power(2))
+    text = format_applications(t, comb.App, lambda leaf: leaf.name)
+    assert text == oracles.naive_format_comb(t) == "B B (B B (B B B)) C (B B B)"
 
 
 def test_deep_terms_shapes_and_sequents_have_value_semantics():
