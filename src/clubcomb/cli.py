@@ -4,7 +4,7 @@ Each invocation is stateless: one command, one input string, flags, and a
 deterministic rendering on stdout (errors go to stderr, or into the JSON
 object when --json is given).  Exit codes: 0 success, 1 usage or syntax
 problems, 2 club violations, 3 fuel exhaustion, 4 internal invariant
-failures.
+failures, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from operator import attrgetter
 
@@ -31,6 +32,7 @@ EXIT_USAGE = 1
 EXIT_CLUB = 2
 EXIT_FUEL = 3
 EXIT_INTERNAL = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer its reader left
 
 _CLUB_NAMES = [c.value for c in Club]
 
@@ -107,10 +109,19 @@ _FLAGS = {
                         help="treat undeclared identifiers as constants"),
 }
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with command's subparser alone, or with all five if command is None.
+
+    The subparsers' metavar keeps the full choice list in the usage line of a
+    one-command parser.  Paths whose message names the choices themselves (no
+    command, an unknown one, top-level help) need every subparser.
+    """
     parser = _Parser(prog="clubcomb", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, flags) in _COMMANDS.items():
+    names = _COMMANDS if command is None else (command,)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        _, help_text, flags = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("input", help="the input string")
         for flag in flags:
@@ -227,7 +238,19 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    try:
+        code = _run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader of stdout left (`| head`); nothing failed.  Point stdout
+        # at devnull so the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+
+
+def _run(argv: list[str]) -> int:
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         ns = parser.parse_args(argv)
     except SystemExit as e:
@@ -236,6 +259,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(ns, EXIT_USAGE, "fuel must be at least 1")
     try:
         return _COMMANDS[ns.command][0](ns)
+    except BrokenPipeError:  # the reader left, nothing failed: main answers it
+        raise
     except (ParseError, ArityZero) as e:
         return _fail(ns, EXIT_USAGE, str(e))
     except ClubViolation as e:

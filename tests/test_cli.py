@@ -1,5 +1,6 @@
 """CLI behavior: golden corpus, JSON schema discipline, error channels."""
 
+import argparse
 import json
 import pathlib
 import random
@@ -10,9 +11,9 @@ import sys
 import pytest
 
 import oracles
-from clubcomb import cli, compiler
+from clubcomb import cli, comb, compiler, finord
 from clubcomb.errors import VerificationFailed
-from clubcomb.finord import FinFun, identity, parse_finfun
+from clubcomb.finord import Club, FinFun, identity, parse_finfun
 from clubcomb.poly import parse
 from cli_corpus import CASES, JSON_CASES
 
@@ -158,6 +159,63 @@ def test_flags_a_subcommand_does_not_use_are_rejected(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments" in captured.err
+
+
+# Each call builds only the subparser its first argument names; these argv
+# reach every other path too (help, no command, errors that list the choices).
+_PARSER_PATHS = [argv for _, argv, _ in ALL_CASES] + [
+    [], ["-h"], ["--help"], *([name, "-h"] for name in cli._COMMANDS),
+    ["nope", "x |- x"], ["--json", "compile", "x |- x"],
+    ["compile", "--fuel", "3", "x |- x"],
+    ["compile", "x |- x", "--bogus"], ["compile", "x |- x", "extra"], ["compile"],
+    ["compile", "--club", "nope", "x |- x"], ["eval", "--fuel", "abc", "I a"],
+    ["eval", "--fu", "5", "W W W"], ["compile", "--js", "x |- x"],
+    ["--", "compile", "x |- x"], ["compile", "--", "x |- x"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSER_PATHS, ids=map(repr, _PARSER_PATHS))
+def test_one_command_parser_answers_as_the_full_one(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = cli.main(argv)
+    got = (code, *capsys.readouterr())
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: build())
+    assert got == (cli.main(argv), *capsys.readouterr())
+
+
+def test_a_named_command_builds_one_subparser(monkeypatch, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    for name in cli._COMMANDS:
+        built.clear()
+        cli.main([name, "--json", "x"])
+        assert built == [name]
+    for argv in ([], ["-h"], ["nope"], ["--json", "eval", "I"]):
+        built.clear()
+        cli.main(argv)
+        assert built == list(cli._COMMANDS), argv
+    capsys.readouterr()
+
+
+def test_reader_closing_stdout_is_not_an_internal_error():
+    # 214 KB of picture, more than a pipe holds: the writes after the reader
+    # leaves fail, and that is the reader's doing, not an internal error
+    n = 10000
+    table = ",".join(map(str, range(n, 0, -1)))
+    child = subprocess.Popen([sys.executable, "-m", "clubcomb", "diagram", f"{n}->{n}:[{table}]"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert child.stdout.readline() == b"o\\        o\n"
+    child.stdout.close()
+    assert child.wait(timeout=30) == cli.EXIT_PIPE
+    assert child.stderr.read() == b""
+    child.stderr.close()
 
 
 # Replaces finord.factor with one returning a wrong chain, then runs the CLI
@@ -370,6 +428,19 @@ def test_wrong_normal_form_is_internal_error(monkeypatch, capsys):
 def test_deep_inputs_succeed(argv, capsys):
     assert cli.main(argv) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_msrj_and_mfun_bases_compute_more_than_their_clubs(capsys):
+    # B B W uses only B and W, yet applied to f, g, x it duplicates the
+    # compound argument g x: usage 5->3:[1,2,3,2,3], which is not monotone
+    term = comb.parse_comb("B B W f g x")
+    assert comb.primitives(term) <= finord.basis(Club.MSRJ) <= finord.basis(Club.MFUN)
+    result = comb.normalize(term)
+    assert (comb.format_comb(result.term), result.steps) == ("f (g x) (g x)", 3)
+    for club in (Club.MSRJ, Club.MFUN):
+        assert cli.main(["compile", "--club", club.value, "f,g,x |- f (g x) (g x)"]) == 2
+        assert capsys.readouterr() == ("", f"error: 5->3:[1,2,3,2,3] is not in {club.display}; "
+                                           "its minimal club is Srj\n")
 
 
 def test_missing_command_rejected():

@@ -386,17 +386,22 @@ def test_compile_leaves_the_collector_as_it_found_it(collecting, monkeypatch):
         (gc.enable if found else gc.disable)()
 
 
+# The report is a local of main, so it is freed when main returns: a module
+# global would make the child's shutdown walk the 2.3M-leaf witness.
 _REVERSAL_192 = """
 import time
 from clubcomb import compiler, poly
 
-n = 192
-term = poly.Var(n)
-for j in range(n - 1, 0, -1):
-    term = poly.App(term, poly.Var(j))
-start = time.perf_counter()
-report = compiler.compile(poly.Sequent(n, term))
-print(report.verified, report.steps, time.perf_counter() - start)
+def main():
+    n = 192
+    term = poly.Var(n)
+    for j in range(n - 1, 0, -1):
+        term = poly.App(term, poly.Var(j))
+    start = time.perf_counter()
+    report = compiler.compile(poly.Sequent(n, term))
+    print(report.verified, report.steps, time.perf_counter() - start)
+
+main()
 """
 
 
