@@ -3,12 +3,15 @@
 Enumerates every function between finite ordinals up to a size bound, buckets
 them by the smallest club containing them, and reports per-club membership
 counts together with factorization statistics (chain length, generator mix).
-The output is deterministic.
+Every chain counted is checked to recompose to its function; the script
+exits non-zero if one does not.  The output is deterministic.
 
 Usage: python3 scripts/club_census.py [--max-size N]
 """
 
 import argparse
+import itertools
+import sys
 from collections import Counter
 
 from clubcomb import finord
@@ -17,10 +20,10 @@ from clubcomb.finord import Club
 
 def census(max_size):
     universe = [
-        f
+        finord.FinFun(m, n, table)
         for n in range(max_size + 1)
         for m in range(max_size + 1)
-        for f in finord.all_finfuns(m, n)
+        for table in itertools.product(range(1, n + 1), repeat=m)
     ]
     minimal = Counter(finord.minimal_club(f) for f in universe)
     members = {c: [f for f in universe if finord.contains(c, f)] for c in Club}
@@ -32,6 +35,8 @@ def chain_stats(functions, club):
     kinds = Counter()
     for f in functions:
         chain = finord.factor(f, club)
+        if finord.recompose(chain, f.dom) != f:
+            sys.exit(f"factor({finord.format_finfun(f)}, {club.display}) does not recompose")
         lengths[len(chain)] += 1
         for g in chain:
             kinds[g.kind] += 1

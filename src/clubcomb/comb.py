@@ -47,26 +47,7 @@ class FreeSym:
 _new = tuple.__new__
 
 
-class App(poly.Binary):
-    """An application.  A node that is B^k for some k >= 2, App(App(B, B), y)
-    with y the module's B or a node of power k - 1, stores k as a third
-    item, so the reducer and the printer read a power in O(1).  Only the
-    module's own B counts (an identity test): b_power and parse_comb build
-    nothing else, and a tower of other Prim("B") objects, such as a copied
-    or unpickled one, stores no power at or above the first of them and gets
-    single steps and the generic print, with the same results.  == and hash
-    ignore the power.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, left, right):
-        if type(left) is App and left[0] is B and left[1] is B:  # B B right
-            if right is B:
-                return _new(cls, (left, right, 2))
-            if type(right) is App and len(right) == 3:
-                return _new(cls, (left, right, right[2] + 1))
-        return _new(cls, (left, right))
+class App(poly.Binary): __slots__ = ()
 
 
 CombTerm = Prim | FreeSym | App
@@ -106,19 +87,19 @@ def normalize(t: CombTerm, fuel: int = DEFAULT_FUEL) -> ReductionResult:
     the head is a primitive with enough arguments.  Once the head is stuck no
     root redex can reappear, so its arguments are normalized one after
     another, left to right.  That is leftmost-outermost order, so the steps
-    counted, and the term returned when fuel runs out, are those of repeated
-    step.
+    counted, and the term returned when fuel runs out, are those of single
+    leftmost-outermost steps (the naive reducer in tests/oracles.py).
 
     One macro rule takes many root steps at once.  B^k z a x1 .. xk, with
     B^k = b_power(k), needs 2k - 1 steps to reach z (a x1 .. xk); when z is a
     primitive whose other arguments r.. are on the stack too, its own step
-    makes a the head again.  A node that recorded its power k (see App) is
+    makes a the head again.  A node that stores its power k (see b_power) is
     the head B^k as it stands, and the head B is B^1.  When z is a primitive
     with all its arguments and at least 2k steps of fuel remain, the machine
     leaves x1 .. xk where they are, applies z's rule to the r.. beneath
     them, makes a the head and counts 2k steps.  All 2k are root steps, so
     no other redex comes between them and the order, the count and the
-    normal form are those of single steps.  Otherwise a recorded power is
+    normal form are those of single steps.  Otherwise a stored power is
     unwound like any other application and B takes a single step, so the
     term at exhaustion is that of single steps too.
     """
@@ -189,17 +170,15 @@ def _rebuild(head: CombTerm, args: list[CombTerm], frames: list[list]) -> CombTe
     return t
 
 
-def step(t: CombTerm) -> CombTerm | None:
-    """One leftmost-outermost step, or None if t is in normal form."""
-    result = normalize(t, 1)
-    return None if result.steps == 0 else result.term
-
-
 def b_power(n: int) -> CombTerm:
     """The n-fold composition power of B: I, B, BB(B), BB(BB(B)), ...
 
     Applied to b, a, x1..xn it yields b (a x1 ... xn): it pushes one function
-    b past n arguments.
+    b past n arguments.  Each level k >= 2 stores k as a third item, so the
+    reducer and the printer read the power in O(1).  Only b_power records a
+    power: every other application, such as a parsed, reduced, copied or
+    unpickled tower, is a pair and gets single steps and the node-by-node
+    print, with the same results.  == and hash ignore the power.
     """
     if n < 0:
         raise ValueError("negative power")
@@ -210,19 +189,6 @@ def b_power(n: int) -> CombTerm:
     for k in range(2, n + 1):  # App(App(B, B), t), with a new B B node per level
         t = new(app, (new(app, bb), t, k))
     return t
-
-
-def _leaf_names(t: CombTerm, kind: type) -> frozenset[str]:
-    """The names of t's leaves of type kind."""
-    return frozenset(x.name for x in poly._leaves(t) if type(x) is kind)
-
-
-def free_symbols(t: CombTerm) -> frozenset[str]:
-    return _leaf_names(t, FreeSym)
-
-
-def primitives(t: CombTerm) -> frozenset[str]:
-    return _leaf_names(t, Prim)
 
 
 @dataclass(frozen=True)
@@ -262,10 +228,9 @@ _TOKEN_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|[()])")
 def parse_comb(text: str) -> CombTerm:
     """Parse juxtaposition syntax: 'B x (y z)'.
 
-    The five uppercase single letters B, C, K, W, I are primitives, and
-    always the module's own objects, so a parsed power of B records its
-    power (App); any other identifier is a free symbol.  No text parses to a
-    free symbol named like a primitive.
+    The five uppercase single letters B, C, K, W, I are primitives, always
+    the module's own objects; any other identifier is a free symbol.  No
+    text parses to a free symbol named like a primitive.
     """
     return poly.parse_applications(
         poly.tokenize(text, _TOKEN_RE),
@@ -279,7 +244,7 @@ def format_comb(t: CombTerm) -> str:
     t holds a free symbol named B, C, K, W or I, which prints as that letter
     and so reads back as the primitive (compile refuses such constants).
 
-    A node that recorded its power k (see App), met as a spine head or as
+    A node that stores its power k (see b_power), met as a spine head or as
     an argument, is printed in one piece, B B (B B (... (B B B))): the text
     the node-by-node walk gives it.
     """

@@ -78,7 +78,7 @@ def lift(a: CombTerm, g: Generator) -> CombTerm:
     prim, offset = _LIFTS[kind]
     if n + offset == 0:
         raise ArityZero("cannot lift a face into a one-argument witness")
-    # neither node is B B y, so neither records a power (App)
+    # both are plain pairs: only b_power stores a power
     return _new(App, (_new(App, (comb.b_power(i - 1), prim)), a))
 
 

@@ -21,10 +21,6 @@ class IndexOutOfRange(ClubCombError):
     """An index fell outside the 1-based range it must live in."""
 
 
-class CodomainMismatch(ClubCombError):
-    """Copairing was attempted over functions with unequal codomains."""
-
-
 class ClubViolation(ClubCombError):
     """A finite function (such as a polynomial's usage) lies outside the requested club."""
 

@@ -24,7 +24,6 @@ from typing import NamedTuple
 from .errors import (
     ArityMismatch,
     ClubViolation,
-    CodomainMismatch,
     IndexOutOfRange,
     ParseError,
 )
@@ -54,64 +53,6 @@ class FinFun:
 
     def __str__(self) -> str:
         return format_finfun(self)
-
-
-def identity(n: int) -> FinFun:
-    return FinFun(n, n, tuple(range(1, n + 1)))
-
-
-def compose(g: FinFun, f: FinFun) -> FinFun:
-    """g after f: first apply f, then g."""
-    if f.cod != g.dom:
-        raise ArityMismatch(f"cannot compose {g} after {f}")
-    return FinFun(f.dom, g.cod, tuple(g.table[e - 1] for e in f.table))
-
-
-def add(a: FinFun, b: FinFun) -> FinFun:
-    """Disjoint juxtaposition: a on the first block, b shifted after it."""
-    table = a.table + tuple(e + a.cod for e in b.table)
-    return FinFun(a.dom + b.dom, a.cod + b.cod, table)
-
-
-def injection(j: int, ks: list[int] | tuple[int, ...]) -> FinFun:
-    """The inclusion of the j-th block into the concatenation of blocks ks."""
-    if not 1 <= j <= len(ks):
-        raise IndexOutOfRange(f"block index {j} outside 1..{len(ks)}")
-    offset = sum(ks[: j - 1])
-    return FinFun(ks[j - 1], sum(ks), tuple(offset + x for x in range(1, ks[j - 1] + 1)))
-
-
-def copair(fs: list[FinFun] | tuple[FinFun, ...], cod: int | None = None) -> FinFun:
-    """Case analysis: the function acting as fs[j] on the j-th block.
-
-    All functions must share one codomain; for an empty list the codomain
-    cannot be inferred and must be supplied.
-    """
-    if not fs:
-        if cod is None:
-            raise CodomainMismatch("copair of no functions needs an explicit codomain")
-        return FinFun(0, cod, ())
-    n = fs[0].cod
-    if cod is not None and cod != n:
-        raise CodomainMismatch(f"declared codomain {cod} differs from {n}")
-    table: list[int] = []
-    for f in fs:
-        if f.cod != n:
-            raise CodomainMismatch(f"codomains differ: {f.cod} vs {n}")
-        table.extend(f.table)
-    return FinFun(len(table), n, tuple(table))
-
-
-def wreath(a: FinFun, ks: list[int] | tuple[int, ...]) -> FinFun:
-    """Block substitution: route whole blocks the way a routes single points.
-
-    ks gives one block width per element of a's codomain.  The j-th domain
-    block has the width of block a(j) and maps in order onto that block's
-    position in the codomain concatenation.
-    """
-    if len(ks) != a.cod:
-        raise ArityMismatch(f"{a.cod} block widths required, got {len(ks)}")
-    return copair([injection(a(j), ks) for j in range(1, a.dom + 1)], cod=sum(ks))
 
 
 class GenKind(Enum):
@@ -150,6 +91,7 @@ class Generator(tuple):
     s(n,i): n+1 -> n      merges i and i+1            (needs 1 <= i <= n)
     d(n,i): n-1 -> n      skips the value i           (needs 1 <= i <= n)
 
+    A kind outside GenKind is a ValueError, and bad indices IndexOutOfRange.
     A tuple (kind, n, i), allocated in C and read through the C item getters
     collections.namedtuple installs.  Value semantics as a frozen dataclass
     with those three fields: assignment and deletion raise
@@ -165,6 +107,8 @@ class Generator(tuple):
     i = _Triple.i
 
     def __new__(cls, kind: GenKind, n: int, i: int):
+        if type(kind) is not GenKind:
+            raise ValueError(f"unknown generator kind {kind!r}")
         if not (1 <= i < n if kind is _TRANSPOSITION else 1 <= i <= n):
             need = "1 <= i < n, n > 1" if kind is _TRANSPOSITION else "1 <= i <= n"
             raise IndexOutOfRange(f"{_FAMILIES[kind][0]}({n},{i}) needs {need}")
@@ -218,19 +162,6 @@ def degeneracy(n: int, i: int) -> Generator:
 
 def face(n: int, i: int) -> Generator:
     return Generator(GenKind.FACE, n, i)
-
-
-def make_generator(g: Generator) -> FinFun:
-    """The finite function a generator denotes."""
-    points = range(1, g.dom + 1)
-    if g.kind is GenKind.TRANSPOSITION:
-        table = list(points)
-        table[g.i - 1], table[g.i] = table[g.i], table[g.i - 1]
-    elif g.kind is GenKind.DEGENERACY:
-        table = [x if x <= g.i else x - 1 for x in points]
-    else:
-        table = [x if x < g.i else x + 1 for x in points]
-    return FinFun(g.dom, g.n, tuple(table))
 
 
 class Classification(NamedTuple):
@@ -304,11 +235,6 @@ def minimal_club(f: FinFun) -> Club:
     return _BY_PROPS[classify(f)]
 
 
-def leq(c1: Club, c2: Club) -> bool:
-    """Inclusion order: c1 <= c2 iff every member of c1 is a member of c2."""
-    return all(map(operator.le, _REQUIRED[c2], _REQUIRED[c1]))
-
-
 def basis(c: Club) -> frozenset[str]:
     """The combinator basis paired with the club.
 
@@ -321,13 +247,6 @@ def basis(c: Club) -> frozenset[str]:
 def generator_kinds(c: Club) -> frozenset[GenKind]:
     """Which generator families stay inside the club."""
     return frozenset(k for k, required in zip(_FAMILIES, _REQUIRED[c]) if not required)
-
-
-def club_from_name(name: str) -> Club:
-    try:
-        return Club(name)
-    except ValueError:
-        raise ParseError(f"unknown club name: {name!r}") from None
 
 
 def factor(f: FinFun, c: Club) -> list[Generator]:
@@ -389,7 +308,7 @@ def factor(f: FinFun, c: Club) -> list[Generator]:
 
 
 def recompose(chain: list[Generator] | tuple[Generator, ...], dom: int) -> FinFun:
-    """The composite of chain, applied in order to identity(dom).
+    """The composite of chain, applied in order to the identity on dom points.
 
     Raises ArityMismatch when a generator's domain is not the size of the
     codomain reached so far.  Block v holds the points sent to v (0-based, a
@@ -464,14 +383,3 @@ def parse_finfun(text: str) -> FinFun:
 
 def format_finfun(f: FinFun) -> str:
     return f"{f.dom}->{f.cod}:[{','.join(str(e) for e in f.table)}]"
-
-
-def all_finfuns(m: int, n: int):
-    """Iterate every function {1..m} -> {1..n}, in lexicographic table order."""
-    if m == 0:
-        yield FinFun(0, n, ())
-        return
-    if n == 0:
-        return
-    for table in itertools.product(range(1, n + 1), repeat=m):
-        yield FinFun(m, n, table)

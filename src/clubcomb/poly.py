@@ -20,14 +20,13 @@ from collections import namedtuple
 from collections.abc import Callable, Iterator
 from dataclasses import FrozenInstanceError, dataclass
 
-from . import finord
 from .errors import (
     ArityMismatch,
     DuplicateContextVariable,
     ParseError,
     UndeclaredVariable,
 )
-from .finord import Club, FinFun
+from .finord import FinFun
 
 _Pair = namedtuple("_Pair", "left right")  # only its item getters are used
 _new = tuple.__new__
@@ -39,7 +38,7 @@ class Binary(tuple):
 
     A tuple (left, right), allocated in C and read through the C item
     getters collections.namedtuple installs; a subclass may store more items
-    after those two (comb.App records a power of B there).  Value semantics
+    after those two (comb.b_power stores a power of B there).  Value semantics
     as a frozen dataclass with fields left and right: assignment and deletion
     raise FrozenInstanceError, and ==, hash and repr see left and right only
     and walk an explicit stack, so terms of any depth compare, hash and print
@@ -157,11 +156,6 @@ Bracketing = Leaf | Node
 LEAF = Leaf()
 
 
-def length(b: Bracketing) -> int:
-    """Number of leaves."""
-    return sum(1 for _ in _leaves(b))
-
-
 @dataclass(frozen=True)
 class UsageDecomposition:
     """skeleton: the shape of the application tree; usage: occurrence -> context slot."""
@@ -222,40 +216,11 @@ def usage(s: Sequent) -> UsageDecomposition:
     return UsageDecomposition(skeleton, FinFun(len(occ), s.context_size, tuple(occ)))
 
 
-def linear(b: Bracketing) -> Sequent:
-    """The ordered linear polynomial with shape b: occurrence j is variable j."""
-    numbers = itertools.count(1)
-    term = _rebuild(b, lambda leaf: Var(next(numbers)))
-    return Sequent(next(numbers) - 1, term)
-
-
 def act(s: Sequent, a: FinFun) -> Sequent:
     """Reindex s along a: each Var i becomes Var a(i), the shape is unchanged."""
     if a.dom != s.context_size:
         raise ArityMismatch(f"action domain {a.dom} differs from context {s.context_size}")
     return Sequent(a.cod, _rebuild(s.term, lambda v: Var(a(v.index))))
-
-
-def substitute(outer: Sequent, inners: list[Sequent] | tuple[Sequent, ...]) -> Sequent:
-    """Plug one polynomial into each variable of outer.
-
-    The result's context is the concatenation of the inner contexts, so
-    occurrences of inner i are shifted past the contexts of inners 1..i-1.
-    """
-    if len(inners) != outer.context_size:
-        raise ArityMismatch(
-            f"outer context {outer.context_size} needs as many polynomials, got {len(inners)}"
-        )
-    offsets = [0]
-    for inner in inners:
-        offsets.append(offsets[-1] + inner.context_size)
-    shifted = [_rebuild(inner.term, lambda v: Var(v.index + by))
-               for inner, by in zip(inners, offsets)]
-    return Sequent(offsets[-1], _rebuild(outer.term, lambda v: shifted[v.index - 1]))
-
-
-def minimal_club_of(s: Sequent) -> Club:
-    return finord.minimal_club(usage(s).usage)
 
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -371,9 +336,10 @@ def format_applications(t, app: type, name: Callable, node: Callable | None = No
     an application (of type app exactly) is parenthesized; name renders a leaf.
 
     node renders in one piece an application that stores items beyond left
-    and right (comb.App records a power of B there), wherever the walk meets
-    one: as the head of a spine or as an argument, which it parenthesizes.
-    Without node, every application is walked through its left and right.
+    and right (comb.b_power stores a power of B there), wherever the walk
+    meets one: as the head of a spine or as an argument, which it
+    parenthesizes.  Without node, every application is walked through its
+    left and right.
     """
     parts: list[str] = []
     stack: list = [t]  # terms to render and finished text, next on top
@@ -419,17 +385,3 @@ def format_bracketing(b: Bracketing) -> str:
         else:
             parts.append("*")
     return "".join(parts)
-
-
-def all_bracketings(n: int) -> list[Bracketing]:
-    """Every application shape with n leaves (there are Catalan(n-1) of them)."""
-    if n < 1:
-        return []
-    if n == 1:
-        return [LEAF]
-    out: list[Bracketing] = []
-    for k in range(1, n):
-        for left in all_bracketings(k):
-            for right in all_bracketings(n - k):
-                out.append(Node(left, right))
-    return out

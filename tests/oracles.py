@@ -7,14 +7,26 @@ whole term per reduction step instead of a spine-stack machine, a recursive
 parser through a named syntax tree instead of one stack parse straight into
 the usage split, repeated leftmost contraction instead of one pass over
 the shape, isinstance tests over a generic leaf walk instead of exact
-type dispatch, a walk down each B B spine instead of the power a node
-records when it is built, full bubble passes instead of passes that start next to the
-last swaps, and painting every cell of every line instead of summing runs.  Tests compare the two routes, so a shared bug would have to
-be made twice in different shapes.
+type dispatch, a walk down each B B spine instead of the power b_power
+stores in each node it builds, full bubble passes instead of passes that
+start next to the last swaps, and painting every cell of every line instead
+of summing runs.  Tests compare the two routes, so a shared bug would have
+to be made twice in different shapes.
+
+naive_step is the one leftmost-outermost step: repeating it
+(naive_normalize) fixes the order, the step counts and the term at fuel
+exhaustion that comb.normalize must give.  The paper's algebra that no
+product path uses lives here too: identity, composition, sums, injections,
+copairing and wreath of finite functions, the functions generators denote,
+the club order, and a shape's length, its linear polynomial, substitution
+and every shape with n leaves.  The law tests check the package's usage,
+act, classify, contains, factor and recompose against them.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 import random
 import re
 from collections.abc import Callable, Iterator
@@ -22,23 +34,111 @@ from dataclasses import dataclass
 
 from clubcomb import comb, finord, poly
 from clubcomb.comb import App, CombTerm, FreeSym, Prim, ReductionStatus, apply
-from clubcomb.errors import DuplicateContextVariable, ParseError, UndeclaredVariable
+from clubcomb.errors import ArityMismatch, DuplicateContextVariable, ParseError, UndeclaredVariable
 from clubcomb.finord import Club, FinFun, Generator, GenKind
 from clubcomb.poly import Sequent, Var
 
 
 def universe(max_size: int) -> list[FinFun]:
     """Every function with dom, cod <= max_size."""
-    out = []
-    for n in range(max_size + 1):
-        for m in range(max_size + 1):
-            out.extend(finord.all_finfuns(m, n))
-    return out
+    return [FinFun(m, n, table) for n in range(max_size + 1) for m in range(max_size + 1)
+            for table in itertools.product(range(1, n + 1), repeat=m)]
+
+
+def identity(n: int) -> FinFun:
+    return FinFun(n, n, tuple(range(1, n + 1)))
 
 
 def pointwise_compose(g: FinFun, f: FinFun) -> FinFun:
-    assert f.cod == g.dom
+    """g after f: first apply f, then g."""
+    if f.cod != g.dom:
+        raise ArityMismatch(f"cannot compose {g} after {f}")
     return FinFun(f.dom, g.cod, tuple(g(f(j)) for j in range(1, f.dom + 1)))
+
+
+def add(a: FinFun, b: FinFun) -> FinFun:
+    """Disjoint juxtaposition: a on the first block, b shifted after it."""
+    return FinFun(a.dom + b.dom, a.cod + b.cod, a.table + tuple(e + a.cod for e in b.table))
+
+
+def injection(j: int, ks: list[int]) -> FinFun:
+    """The inclusion of the j-th block into the concatenation of blocks ks."""
+    offset = sum(ks[:j - 1])
+    return FinFun(ks[j - 1], sum(ks), tuple(range(offset + 1, offset + ks[j - 1] + 1)))
+
+
+def copair(fs: list[FinFun], cod: int) -> FinFun:
+    """Case analysis into cod points: the function acting as fs[j] on the j-th block."""
+    return FinFun(sum(f.dom for f in fs), cod, tuple(e for f in fs for e in f.table))
+
+
+def wreath(a: FinFun, ks: list[int]) -> FinFun:
+    """Block substitution (Kelly, "On clubs and doctrines", LNM 420): route
+    whole blocks the way a routes single points.
+
+    ks gives one block width per element of a's codomain.  The j-th domain
+    block has the width of block a(j) and maps in order onto that block's
+    position in the codomain concatenation.
+    """
+    if len(ks) != a.cod:
+        raise ArityMismatch(f"{a.cod} block widths required, got {len(ks)}")
+    return copair([injection(a(j), ks) for j in range(1, a.dom + 1)], sum(ks))
+
+
+def make_generator(g: Generator) -> FinFun:
+    """The finite function a generator denotes."""
+    points = range(1, g.dom + 1)
+    if g.kind is GenKind.TRANSPOSITION:
+        table = list(points)
+        table[g.i - 1], table[g.i] = table[g.i], table[g.i - 1]
+    elif g.kind is GenKind.DEGENERACY:
+        table = [x if x <= g.i else x - 1 for x in points]
+    else:
+        table = [x if x < g.i else x + 1 for x in points]
+    return FinFun(g.dom, g.n, tuple(table))
+
+
+def leq(c1: Club, c2: Club) -> bool:
+    """Inclusion order: c1 <= c2 iff c1 requires every property c2 requires."""
+    return all(map(operator.le, finord.required_properties(c2), finord.required_properties(c1)))
+
+
+def length(b: poly.Bracketing) -> int:
+    """Number of leaves."""
+    return sum(1 for _ in _leaves(b))
+
+
+def linear(b: poly.Bracketing) -> Sequent:
+    """The ordered linear polynomial with shape b: occurrence j is variable j."""
+    numbers = itertools.count(1)
+    term = poly._rebuild(b, lambda leaf: Var(next(numbers)))
+    return Sequent(next(numbers) - 1, term)
+
+
+def substitute(outer: Sequent, inners: list[Sequent]) -> Sequent:
+    """Plug one polynomial into each variable of outer.
+
+    The result's context is the concatenation of the inner contexts, so
+    occurrences of inner i are shifted past the contexts of inners 1..i-1.
+    """
+    if len(inners) != outer.context_size:
+        raise ArityMismatch(
+            f"outer context {outer.context_size} needs as many polynomials, got {len(inners)}"
+        )
+    offsets = [0]
+    for inner in inners:
+        offsets.append(offsets[-1] + inner.context_size)
+    shifted = [poly._rebuild(inner.term, lambda v: Var(v.index + by))
+               for inner, by in zip(inners, offsets)]
+    return Sequent(offsets[-1], poly._rebuild(outer.term, lambda v: shifted[v.index - 1]))
+
+
+def all_bracketings(n: int) -> list[poly.Bracketing]:
+    """Every application shape with n leaves (there are Catalan(n-1) of them)."""
+    if n == 1:
+        return [poly.LEAF]
+    return [poly.Node(left, right) for k in range(1, n)
+            for left in all_bracketings(k) for right in all_bracketings(n - k)]
 
 
 def naive_injective(f: FinFun) -> bool:
@@ -65,9 +165,9 @@ def naive_monotone(f: FinFun) -> bool:
 
 def recompose(chain: list[Generator] | tuple[Generator, ...], dom: int) -> FinFun:
     """Apply the generators in order, starting from the identity."""
-    acc = finord.identity(dom)
+    acc = identity(dom)
     for g in chain:
-        acc = pointwise_compose(finord.make_generator(g), acc)
+        acc = pointwise_compose(make_generator(g), acc)
     return acc
 
 
@@ -148,11 +248,11 @@ def bfs_closure(club: Club, max_size: int) -> set[FinFun]:
     every ordered pair is composed exactly once, when its later member is
     popped.
     """
-    seed = {finord.identity(n) for n in range(max_size + 1)}
+    seed = {identity(n) for n in range(max_size + 1)}
     allowed = finord.generator_kinds(club)
     for g in legal_generators(max_size):
         if g.kind in allowed:
-            seed.add(finord.make_generator(g))
+            seed.add(make_generator(g))
     closed = set(seed)
     by_dom: dict[int, list[FinFun]] = {}
     by_cod: dict[int, list[FinFun]] = {}
@@ -204,9 +304,9 @@ def _contract(head: CombTerm, args: list[CombTerm]) -> CombTerm | None:
 def bb_spine(t: CombTerm) -> tuple[int, CombTerm]:
     """(d, u) with t = B B (B B (... (B B u))), d levels, u not itself B B ·.
 
-    Only the module's own B counts (an identity test), as in the power
-    comb.App records: a spine through other Prim("B") objects ends where
-    they begin.
+    Only the module's own B counts (an identity test), the one b_power
+    builds with: a spine through other Prim("B") objects ends where they
+    begin.
     """
     d = 0
     while type(t) is App and type(bb := t.left) is App and bb.left is comb.B and bb.right is comb.B:
@@ -415,7 +515,7 @@ def _contract_leftmost(b: poly.Node) -> tuple[poly.Bracketing, int]:
             if got is not None:
                 return poly.Node(got[0], right), got[1]
         if isinstance(right, poly.Node):
-            got = rec(right, base + poly.length(left))
+            got = rec(right, base + length(left))
             if got is not None:
                 return poly.Node(left, got[0]), got[1]
         return None

@@ -99,27 +99,27 @@ def test_criterion_03_action_axioms():
         s = _rand_seq(rng)
         a = _rand_finfun(rng, s.context_size)
         b = _rand_finfun(rng, a.cod)
-        assert poly.act(s, finord.identity(s.context_size)) == s
-        assert poly.act(poly.act(s, a), b) == poly.act(s, finord.compose(b, a))
+        assert poly.act(s, oracles.identity(s.context_size)) == s
+        assert poly.act(poly.act(s, a), b) == poly.act(s, oracles.pointwise_compose(b, a))
 
         # substitution commutes with acting on each piece, along the sum
         g = _rand_seq(rng, max_context=3, depth=3)
         fs = [_rand_seq(rng, max_context=3, depth=3) for _ in range(g.context_size)]
         acts = [_rand_finfun(rng, f.context_size, max_cod=3) for f in fs]
-        lhs = poly.substitute(g, [poly.act(f, c) for f, c in zip(fs, acts)])
+        lhs = oracles.substitute(g, [poly.act(f, c) for f, c in zip(fs, acts)])
         summed = acts[0]
         for c in acts[1:]:
-            summed = finord.add(summed, c)
-        assert lhs == poly.act(poly.substitute(g, fs), summed)
+            summed = oracles.add(summed, c)
+        assert lhs == poly.act(oracles.substitute(g, fs), summed)
 
         # acting on the outer polynomial routes pieces along the wreath
         m = g.context_size
         a2 = _rand_finfun(rng, m, max_cod=3)
         hs = [_rand_seq(rng, max_context=3, depth=3) for _ in range(a2.cod)]
-        lhs = poly.substitute(poly.act(g, a2), hs)
+        lhs = oracles.substitute(poly.act(g, a2), hs)
         picked = [hs[a2(j) - 1] for j in range(1, m + 1)]
         widths = [h.context_size for h in hs]
-        assert lhs == poly.act(poly.substitute(g, picked), finord.wreath(a2, widths))
+        assert lhs == poly.act(oracles.substitute(g, picked), oracles.wreath(a2, widths))
 
 
 @criterion(4, "composition powers of B push a head past n arguments")
@@ -141,11 +141,11 @@ def test_criterion_04_b_power_law():
 def test_criterion_05_bracketing_witnesses():
     total = 0
     for k in range(1, 7):
-        for shape in poly.all_bracketings(k):
+        for shape in oracles.all_bracketings(k):
             total += 1
             witness = compiler.compile_bracketing(shape)
-            assert comb.primitives(witness) <= {"B", "I"}
-            ok, steps = comb.verify(witness, poly.linear(shape))
+            assert oracles.naive_primitives(witness) <= {"B", "I"}
+            ok, steps = comb.verify(witness, oracles.linear(shape))
             _observed_steps.append(steps)
             assert ok, poly.format_bracketing(shape)
     assert total == 65
@@ -154,29 +154,29 @@ def test_criterion_05_bracketing_witnesses():
 @criterion(6, "generator lifts compute the acted polynomial")
 def test_criterion_06_lifts_match_action():
     for k in range(1, 5):
-        for shape in poly.all_bracketings(k):
-            s = poly.linear(shape)
+        for shape in oracles.all_bracketings(k):
+            s = oracles.linear(shape)
             witness = compiler.compile_bracketing(shape)
             for i in range(1, k):
                 g = finord.transposition(k, i)
                 lifted = compiler.lift(witness, g)
-                assert comb.primitives(lifted) <= {"B", "C", "I"}
+                assert oracles.naive_primitives(lifted) <= {"B", "C", "I"}
                 _check_lift(lifted, s, g)
             for i in range(1, k + 2):
                 g = finord.face(k + 1, i)
                 lifted = compiler.lift(witness, g)
-                assert comb.primitives(lifted) <= {"B", "K", "I"}
+                assert oracles.naive_primitives(lifted) <= {"B", "K", "I"}
                 _check_lift(lifted, s, g)
             if k >= 2:
                 for i in range(1, k):
                     g = finord.degeneracy(k - 1, i)
                     lifted = compiler.lift(witness, g)
-                    assert comb.primitives(lifted) <= {"B", "W", "I"}
+                    assert oracles.naive_primitives(lifted) <= {"B", "W", "I"}
                     _check_lift(lifted, s, g)
 
 
 def _check_lift(lifted, s, g):
-    acted = poly.act(s, finord.make_generator(g))
+    acted = poly.act(s, oracles.make_generator(g))
     ok, steps = comb.verify(lifted, acted)
     _observed_steps.append(steps)
     assert ok, (poly.format_sequent(s), str(g))
@@ -187,8 +187,8 @@ def test_criterion_07_exhaustive_compilation():
     start = time.perf_counter()
     total = 0
     for k in range(1, 5):
-        for shape in poly.all_bracketings(k):
-            lin = poly.linear(shape)
+        for shape in oracles.all_bracketings(k):
+            lin = oracles.linear(shape)
             for n in range(1, 5):
                 for table in itertools.product(range(1, n + 1), repeat=k):
                     total += 1
@@ -197,7 +197,7 @@ def test_criterion_07_exhaustive_compilation():
                     _observed_steps.append(report.steps)
                     assert report.verified, poly.format_sequent(s)
                     assert report.club_used is finord.minimal_club(report.usage)
-                    used = comb.primitives(report.output)
+                    used = oracles.naive_primitives(report.output)
                     assert used <= finord.basis(report.club_used)
                     recomposed = oracles.recompose(
                         report.generator_chain, report.usage.dom

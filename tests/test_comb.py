@@ -26,11 +26,8 @@ from clubcomb.comb import (
     apply,
     b_power,
     format_comb,
-    free_symbols,
     normalize,
     parse_comb,
-    primitives,
-    step,
     verify,
 )
 from clubcomb.errors import FuelExhausted, ParseError
@@ -46,33 +43,33 @@ x, y, z = syms("x", "y", "z")
 
 
 def test_defining_equations_one_step_each():
-    assert step(apply(B, [x, y, z])) == App(x, App(y, z))
-    assert step(apply(C, [x, y, z])) == App(App(x, z), y)
-    assert step(apply(K, [x, y])) == x
-    assert step(apply(W, [x, y])) == App(App(x, y), y)
-    assert step(apply(I, [x])) == x
+    assert normalize(apply(B, [x, y, z]), 1).term == App(x, App(y, z))
+    assert normalize(apply(C, [x, y, z]), 1).term == App(App(x, z), y)
+    assert normalize(apply(K, [x, y]), 1).term == x
+    assert normalize(apply(W, [x, y]), 1).term == App(App(x, y), y)
+    assert normalize(apply(I, [x]), 1).term == x
 
 
 def test_normal_forms_have_no_step():
     for t in [B, C, K, W, I, x, App(x, y), App(B, x), apply(B, [x, y]), App(K, x)]:
-        assert step(t) is None
+        assert normalize(t, 1).steps == 0 and oracles.naive_step(t) is None
 
 
 def test_step_prefers_outermost():
     # the root K-redex fires before the inner I-redex
     t = apply(K, [x, App(I, y)])
-    assert step(t) == x
+    assert normalize(t, 1).term == x
 
 
 def test_step_prefers_leftmost():
     t = App(App(x, App(I, y)), App(I, z))
-    assert step(t) == App(App(x, y), App(I, z))
+    assert normalize(t, 1).term == App(App(x, y), App(I, z))
 
 
 def test_over_application_keeps_trailing_arguments():
-    assert step(apply(K, [x, y, z])) == App(x, z)
-    assert step(apply(I, [x, y, z])) == apply(x, [y, z])
-    assert step(apply(B, [x, y, z, z])) == App(App(x, App(y, z)), z)
+    assert normalize(apply(K, [x, y, z]), 1).term == App(x, z)
+    assert normalize(apply(I, [x, y, z]), 1).term == apply(x, [y, z])
+    assert normalize(apply(B, [x, y, z, z]), 1).term == App(App(x, App(y, z)), z)
 
 
 def test_normalize_counts_steps():
@@ -106,7 +103,7 @@ def test_normalize_is_deterministic_and_complete(t):
     r2 = normalize(t, fuel=500)
     assert r1 == r2
     if r1.status is ReductionStatus.NORMAL:
-        assert step(r1.term) is None
+        assert oracles.naive_step(r1.term) is None
 
 
 @given(
@@ -152,10 +149,10 @@ def test_b_power_macro_agrees_with_naive_step_loop_at_every_fuel(t):
 
 
 def fresh_power(k, fresh_from=1):
-    """b_power(k) whose B leaves from level fresh_from down are new Prim("B")
-    objects, equal to comb.B but not it: no node at or above them records a
-    power, so the reducer and the printer must fall back to the generic
-    path there and give the same result."""
+    """b_power(k) built node by node with App, its B leaves from level
+    fresh_from down new Prim("B") objects, equal to comb.B but not it.  Like
+    every tower App builds it stores no power, so the reducer and the
+    printer take the generic path on it and must give the same result."""
     def b(level):
         return Prim("B") if level >= fresh_from else B
 
@@ -258,14 +255,14 @@ def test_parse_comb_returns_the_module_primitives():
         assert parse_comb(prim.name) is prim
     power = parse_comb("B B (B B (B B B))")
     assert power == b_power(4)
-    assert power[2] == 4  # recorded whole, down to the module's B
+    assert stored_power(power) == 0  # only b_power records a power
 
 
 def test_b_power_macro_agrees_on_compiled_witnesses_at_every_fuel():
     rng = random.Random(7)
     for n, shape, usage in itertools.product((8, 12, 16), ("left", "right", "random"),
                                              ("identity", "reversal", "random")):
-        s = poly.act(poly.linear(oracles.ladder_shape(shape, n, rng)),
+        s = poly.act(oracles.linear(oracles.ladder_shape(shape, n, rng)),
                      oracles.ladder_usage(usage, n, rng))
         report = compiler.compile(s)
         w = apply(report.output, syms(*[f"v{k}" for k in range(1, s.context_size + 1)]))
@@ -273,9 +270,10 @@ def test_b_power_macro_agrees_on_compiled_witnesses_at_every_fuel():
 
 
 def test_b_power_spine_is_read_once_per_chain():
-    # where the macro cannot fire, single steps bring the B B nodes of a long
-    # chain to the head one after another; each reads the power its node
-    # recorded, and the result is that of single steps
+    # where the macro cannot fire (a chain App built, which stores no power,
+    # or too few arguments), single steps bring the B B nodes of a long
+    # chain to the head one after another, and the result is that of single
+    # steps
     m = 300
     v = syms(*[f"v{k}" for k in range(1, m + 3)])
     ends_in_x = FreeSym("x")
@@ -395,7 +393,7 @@ def test_parse_comb_errors():
 def test_parse_comb_deep_parentheses():
     n = 10**4
     assert parse_comb("(" * n + "x" + ")" * n) == x
-    assert free_symbols(parse_comb("f (" * n + "x" + ")" * n)) == frozenset({"f", "x"})
+    assert oracles.naive_free_symbols(parse_comb("f (" * n + "x" + ")" * n)) == {"f", "x"}
 
 
 def test_format_comb_minimal_parens():
@@ -477,7 +475,7 @@ def test_format_comb_matches_the_walk_on_compiled_witnesses():
     rng = random.Random(11)
     for n, shape, usage in itertools.product((8, 12, 16), ("left", "right", "random"),
                                              ("identity", "reversal", "random")):
-        s = poly.act(poly.linear(oracles.ladder_shape(shape, n, rng)),
+        s = poly.act(oracles.linear(oracles.ladder_shape(shape, n, rng)),
                      oracles.ladder_usage(usage, n, rng))
         w = compiler.compile(s, verify=False).output
         text = format_comb(w)
@@ -494,8 +492,8 @@ def test_format_comb_reads_a_long_broken_chain_once():
 
 def test_free_symbols_and_primitives():
     t = apply(B, [FreeSym("a"), App(K, FreeSym("b"))])
-    assert free_symbols(t) == frozenset({"a", "b"})
-    assert primitives(t) == frozenset({"B", "K"})
+    assert oracles.naive_free_symbols(t) == frozenset({"a", "b"})
+    assert oracles.naive_primitives(t) == frozenset({"B", "K"})
 
 
 @given(st.recursive(
@@ -505,8 +503,7 @@ def test_free_symbols_and_primitives():
 ))
 def test_leaf_walks_match_the_isinstance_reference(t):
     assert format_comb(t) == oracles.naive_format_comb(t)
-    assert free_symbols(t) == oracles.naive_free_symbols(t)
-    assert primitives(t) == oracles.naive_primitives(t)
+    assert list(poly._leaves(t)) == list(oracles._leaves(t, App))
 
 
 def deep_chain(n, head, bottom):
@@ -566,17 +563,21 @@ def applications(t):
             stack += (node.right, node.left)
 
 
-def assert_powers_are_the_shape_readings(t):
+def assert_only_b_power_stores_powers(t, *built):
+    """A node of t stores a power only if it is a node of one of built, terms
+    made from what b_power returned, and then the power its shape spells."""
+    ours = {id(node) for b in built for node in applications(b)}
     for node in applications(t):
-        assert stored_power(node) == oracles.power_reading(node), node
+        if stored_power(node):
+            assert id(node) in ours and stored_power(node) == oracles.power_reading(node), node
 
 
 @settings(max_examples=300)
 @given(_PRINTED_TERMS)
 def test_stored_powers_are_the_shape_readings(t):
-    assert_powers_are_the_shape_readings(t)
-    assert_powers_are_the_shape_readings(parse_comb(format_comb(t)))
-    assert_powers_are_the_shape_readings(normalize(t, 200).term)
+    assert_only_b_power_stores_powers(t, *_PRINTED_ATOMS)
+    assert_only_b_power_stores_powers(parse_comb(format_comb(t)))
+    assert_only_b_power_stores_powers(normalize(t, 200).term, *_PRINTED_ATOMS)
 
 
 @settings(max_examples=100)
@@ -586,27 +587,25 @@ def test_stored_powers_are_the_shape_readings(t):
                         st.sampled_from(_POWERS) | c, st.lists(c, max_size=6)),
     max_leaves=16,
 ), st.integers(min_value=1, max_value=80))
-def test_normal_forms_record_their_powers(t, fuel):
-    assert_powers_are_the_shape_readings(normalize(t, fuel).term)
+def test_normal_forms_store_only_the_powers_b_power_built(t, fuel):
+    assert_only_b_power_stores_powers(normalize(t, fuel).term, *_POWERS)
 
 
 def test_stored_powers_of_built_parsed_fresh_and_broken_towers():
     for k in range(2, 301):
         assert stored_power(b_power(k)) == oracles.power_reading(b_power(k)) == k
-    assert_powers_are_the_shape_readings(b_power(300))
+    power = b_power(300)
+    assert all(stored_power(node) == oracles.power_reading(node) for node in applications(power))
     for k in range(2, 40):
         parsed = parse_comb(format_comb(b_power(k)))
-        assert_powers_are_the_shape_readings(parsed)
-        assert parsed[2] == k
+        assert parsed == b_power(k)
+        assert_only_b_power_stores_powers(parsed)
         for j in range(1, k + 1):
-            fresh = fresh_power(k, j)
-            assert_powers_are_the_shape_readings(fresh)
-            # the bottom B is always a new Prim("B"), so no node reads a power
-            assert not any(map(stored_power, applications(fresh)))
+            assert_only_b_power_stores_powers(fresh_power(k, j))
         for end in (C, FreeSym("p"), App(C, FreeSym("p")), App(B, B), b_power(k)):
-            assert_powers_are_the_shape_readings(bb_chain(k, end))
-    assert stored_power(bb_chain(5, b_power(3))) == 8
-    assert stored_power(bb_chain(5, App(C, b_power(3)))) == 0
+            assert_only_b_power_stores_powers(bb_chain(k, end), end)
+    # App builds the levels above b_power(3), and they store nothing
+    assert stored_power(bb_chain(5, b_power(3))) == 0
 
 
 def test_b_power_builds_what_nested_applications_build():
@@ -618,8 +617,8 @@ def test_b_power_builds_what_nested_applications_build():
         while stack:
             a, b = stack.pop()
             assert type(a) is type(b)
-            if type(a) is App:
-                assert tuple(a) == tuple(b)  # the stored power included
+            if type(a) is App:  # b_power records every level's power, App none
+                assert stored_power(a) == oracles.power_reading(a) and stored_power(b) == 0
                 stack += ((a.left, b.left), (a.right, b.right))
             else:
                 assert a is b
@@ -647,9 +646,9 @@ def test_terms_are_values_apart_from_tuples_and_other_node_classes():
     for term in (t, power, fresh, b_power(40)):
         for copied in (copy.copy(term), copy.deepcopy(term), pickle.loads(pickle.dumps(term))):
             assert copied == term and type(copied) is App
-            assert_powers_are_the_shape_readings(copied)
-    # copies of the module's B are new Prim objects: single steps, as before
-    assert stored_power(copy.deepcopy(power)) == 0 and stored_power(copy.copy(power)) == 3
+            assert_only_b_power_stores_powers(copied, term)
+    # a copy is rebuilt through App, so its own nodes take single steps
+    assert stored_power(copy.deepcopy(power)) == 0 and stored_power(copy.copy(power)) == 0
     with pytest.raises(FrozenInstanceError):
         power.left = B
     with pytest.raises(FrozenInstanceError):

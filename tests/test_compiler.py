@@ -33,7 +33,7 @@ def test_compile_bracketing_pair():
     # witness I B I: reduces on two arguments in 3 steps
     w = compile_bracketing(Node(LEAF, LEAF))
     assert w == App(App(I, B), I)
-    ok, _ = comb.verify(w, poly.linear(Node(LEAF, LEAF)))
+    ok, _ = comb.verify(w, oracles.linear(Node(LEAF, LEAF)))
     assert ok
 
 
@@ -44,10 +44,10 @@ def test_compile_bracketing_right_nested():
 
 def test_compile_bracketing_all_shapes_verify_over_b_and_i():
     for n in range(1, 7):
-        for shape in poly.all_bracketings(n):
+        for shape in oracles.all_bracketings(n):
             w = compile_bracketing(shape)
-            assert comb.primitives(w) <= {"B", "I"}
-            ok, _ = comb.verify(w, poly.linear(shape))
+            assert oracles.naive_primitives(w) <= {"B", "I"}
+            ok, _ = comb.verify(w, oracles.linear(shape))
             assert ok
 
 
@@ -58,7 +58,7 @@ def test_compile_bracketing_deterministic():
 
 def test_compile_bracketing_matches_the_contraction_reference_on_all_small_shapes():
     for n in range(1, 9):
-        for shape in poly.all_bracketings(n):
+        for shape in oracles.all_bracketings(n):
             assert compile_bracketing(shape) == oracles.naive_compile_bracketing(shape)
 
 
@@ -122,7 +122,7 @@ def test_generator_families_agree_in_every_consumer():
         for n in range(1, 7):
             for i in range(1, n if kind is finord.GenKind.TRANSPOSITION else n + 1):
                 g = finord.Generator(kind, n, i)
-                f = finord.make_generator(g)
+                f = oracles.make_generator(g)
                 assert (g.dom, f.dom, f.cod) == (n + offset, n + offset, n)
                 assert str(g) == f"{letter}({n},{i})"
                 if g.dom:
@@ -138,23 +138,23 @@ def test_generator_families_agree_in_every_consumer():
 def test_lifts_match_action_on_all_small_bracketings():
     # lifting a witness along a generator must compute the acted polynomial
     for n in range(1, 5):
-        for shape in poly.all_bracketings(n):
-            s = poly.linear(shape)
+        for shape in oracles.all_bracketings(n):
+            s = oracles.linear(shape)
             a = compile_bracketing(shape)
             for i in range(1, n):
                 g = finord.transposition(n, i)
-                acted = poly.act(s, finord.make_generator(g))
+                acted = poly.act(s, oracles.make_generator(g))
                 ok, _ = comb.verify(lift(a, g), acted)
                 assert ok
             for i in range(1, n + 2):
                 g = finord.face(n + 1, i)
-                acted = poly.act(s, finord.make_generator(g))
+                acted = poly.act(s, oracles.make_generator(g))
                 ok, _ = comb.verify(lift(a, g), acted)
                 assert ok
             if n >= 2:
                 for i in range(1, n):
                     g = finord.degeneracy(n - 1, i)
-                    acted = poly.act(s, finord.make_generator(g))
+                    acted = poly.act(s, oracles.make_generator(g))
                     ok, _ = comb.verify(lift(a, g), acted)
                     assert ok
 
@@ -165,7 +165,7 @@ def test_compile_identity_usage():
     assert report.output == App(App(B, B), App(App(I, B), I))
     assert report.generator_chain == ()
     assert report.verified and report.steps > 0
-    assert comb.primitives(report.output) <= finord.basis(Club.ID)
+    assert oracles.naive_primitives(report.output) <= finord.basis(Club.ID)
 
 
 def test_compile_swap():
@@ -181,7 +181,7 @@ def test_compile_duplication():
     assert report.club_used is Club.MFUN
     assert report.generator_chain == (finord.degeneracy(1, 1), finord.face(2, 2))
     assert report.verified
-    assert comb.primitives(report.output) <= finord.basis(Club.MFUN)
+    assert oracles.naive_primitives(report.output) <= finord.basis(Club.MFUN)
 
 
 def test_compile_in_requested_club():
@@ -234,8 +234,8 @@ def test_compile_checks_the_chain_with_or_without_verification(verify, monkeypat
 
 def all_small_sequents(max_occurrences, max_context):
     for k in range(1, max_occurrences + 1):
-        for shape in poly.all_bracketings(k):
-            lin = poly.linear(shape)
+        for shape in oracles.all_bracketings(k):
+            lin = oracles.linear(shape)
             for n in range(1, max_context + 1):
                 for table in itertools.product(range(1, n + 1), repeat=k):
                     yield poly.act(lin, FinFun(k, n, table))
@@ -245,7 +245,7 @@ def test_compile_exhaustive_small_soundness():
     for s in all_small_sequents(3, 3):
         report = compile(s)
         assert report.verified, poly.format_sequent(s)
-        assert comb.primitives(report.output) <= finord.basis(report.club_used)
+        assert oracles.naive_primitives(report.output) <= finord.basis(report.club_used)
         assert oracles.recompose(report.generator_chain, report.usage.dom) == report.usage
 
 
@@ -253,15 +253,15 @@ def test_steps_count_the_witness_primitives():
     # every primitive of a compiled witness fires exactly once in verification
     rng = random.Random(3)
     inputs = [
-        poly.act(poly.linear(shape), oracles.ladder_usage(usage, n, rng))
+        poly.act(oracles.linear(shape), oracles.ladder_usage(usage, n, rng))
         for n in range(1, 8)
-        for shape in poly.all_bracketings(n)
+        for shape in oracles.all_bracketings(n)
         for usage in ("identity", "reversal", "random")
     ]
     for _ in range(40):
         n = rng.randint(1, 40)
         inputs.append(poly.act(
-            poly.linear(oracles.ladder_shape(rng.choice(("left", "right", "random")), n, rng)),
+            oracles.linear(oracles.ladder_shape(rng.choice(("left", "right", "random")), n, rng)),
             oracles.ladder_usage(rng.choice(("identity", "reversal", "random")), n, rng),
         ))
     for s in inputs:
@@ -279,7 +279,7 @@ def test_compile_basis_discipline_per_club(club):
             continue
         report = compile(s, club=club)
         assert report.club_used is club
-        assert comb.primitives(report.output) <= allowed
+        assert oracles.naive_primitives(report.output) <= allowed
         assert report.verified
 
 
