@@ -94,14 +94,14 @@ def normalize(t: CombTerm, fuel: int = DEFAULT_FUEL) -> ReductionResult:
     B^k = b_power(k), needs 2k - 1 steps to reach z (a x1 .. xk); when z is a
     primitive whose other arguments r.. are on the stack too, its own step
     makes a the head again.  A node that stores its power k (see b_power) is
-    the head B^k as it stands, and the head B is B^1.  When z is a primitive
-    with all its arguments and at least 2k steps of fuel remain, the machine
-    leaves x1 .. xk where they are, applies z's rule to the r.. beneath
-    them, makes a the head and counts 2k steps.  All 2k are root steps, so
-    no other redex comes between them and the order, the count and the
-    normal form are those of single steps.  Otherwise a stored power is
-    unwound like any other application and B takes a single step, so the
-    term at exhaustion is that of single steps too.
+    the head B^k as it stands.  When z is a primitive with all its arguments
+    and at least 2k steps of fuel remain, the machine leaves x1 .. xk where
+    they are, applies z's rule to the r.. beneath them, makes a the head and
+    counts 2k steps.  All 2k are root steps, so no other redex comes between
+    them and the order, the count and the normal form are those of single
+    steps.  Otherwise the node is unwound like any other application, so the
+    term at exhaustion is that of single steps too.  A bare B, like every
+    other primitive, takes single steps.
     """
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
@@ -116,6 +116,11 @@ def normalize(t: CombTerm, fuel: int = DEFAULT_FUEL) -> ReductionResult:
                     n = len(args)
                     if (n > k + 1 and type(z := args[-1]) is Prim
                             and n > k + _ARITY[z.name] and steps + 2 * k <= fuel):
+                        # B^k z a x1..xk r.. -> a x1..xk r'..
+                        name = args.pop().name
+                        head = args.pop()
+                        steps += 2 * k
+                        r = len(args) - k - 1  # beneath x1..xk
                         break
                 args.append(head.right)
                 head = head.left
@@ -126,15 +131,6 @@ def normalize(t: CombTerm, fuel: int = DEFAULT_FUEL) -> ReductionResult:
                     return ReductionResult(
                         _rebuild(head, args, frames), steps, ReductionStatus.FUEL_EXHAUSTED)
                 name = head.name
-                z = args[-1]  # B is B^1
-                k = 1 if (name == "B" and type(z) is Prim
-                          and len(args) > 1 + _ARITY[z.name] and steps + 2 <= fuel) else 0
-            if k:  # B^k z a x1..xk r.. -> a x1..xk r'..
-                name = args.pop().name
-                head = args.pop()
-                steps += 2 * k
-                r = len(args) - k - 1  # beneath x1..xk
-            else:
                 steps += 1
                 head = args.pop()
                 r = len(args) - 1

@@ -84,35 +84,19 @@ _Triple = namedtuple("_Triple", "kind n i")  # only its item getters are used
 _new = tuple.__new__
 
 
-class Generator(tuple):
-    """One of the three generator families, identified by kind and indices.
+class Record(tuple):
+    """A tuple with the value semantics of a frozen dataclass whose fields
+    are its items, the base of the generators here and of poly's term nodes.
 
-    t(n,i): n -> n        swaps i and i+1             (needs n > 1, 1 <= i < n)
-    s(n,i): n+1 -> n      merges i and i+1            (needs 1 <= i <= n)
-    d(n,i): n-1 -> n      skips the value i           (needs 1 <= i <= n)
-
-    A kind outside GenKind is a ValueError, and bad indices IndexOutOfRange.
-    A tuple (kind, n, i), allocated in C and read through the C item getters
-    collections.namedtuple installs.  Value semantics as a frozen dataclass
-    with those three fields: assignment and deletion raise
-    FrozenInstanceError, == and hash go by (kind, n, i), a generator never
-    equals a plain tuple or a tuple of another class, and generators are not
-    ordered.
+    Allocated in C by tuple.__new__; subclasses read their fields through the
+    C item getters collections.namedtuple installs.  Assignment and deletion
+    raise FrozenInstanceError, a copy or unpickling calls the constructor
+    with the items, == and hash go by the items and the class, a record
+    never equals a plain tuple or a record of another class, and records are
+    not ordered.
     """
 
     __slots__ = ()
-    __match_args__ = ("kind", "n", "i")
-    kind = _Triple.kind
-    n = _Triple.n
-    i = _Triple.i
-
-    def __new__(cls, kind: GenKind, n: int, i: int):
-        if type(kind) is not GenKind:
-            raise ValueError(f"unknown generator kind {kind!r}")
-        if not (1 <= i < n if kind is _TRANSPOSITION else 1 <= i <= n):
-            need = "1 <= i < n, n > 1" if kind is _TRANSPOSITION else "1 <= i <= n"
-            raise IndexOutOfRange(f"{_FAMILIES[kind][0]}({n},{i}) needs {need}")
-        return _new(cls, (kind, n, i))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -134,11 +118,37 @@ class Generator(tuple):
 
     def __lt__(self, other):
         if isinstance(other, tuple):  # tuple's own order would compare items
-            raise TypeError("generators are not ordered")
+            raise TypeError(f"{type(self).__qualname__} values are not ordered")
         return NotImplemented
 
     __le__ = __gt__ = __ge__ = __lt__
     __hash__ = tuple.__hash__
+
+
+class Generator(Record):
+    """One of the three generator families, identified by kind and indices.
+
+    t(n,i): n -> n        swaps i and i+1             (needs n > 1, 1 <= i < n)
+    s(n,i): n+1 -> n      merges i and i+1            (needs 1 <= i <= n)
+    d(n,i): n-1 -> n      skips the value i           (needs 1 <= i <= n)
+
+    A kind outside GenKind is a ValueError, and bad indices IndexOutOfRange.
+    A Record with the fields kind, n and i.
+    """
+
+    __slots__ = ()
+    __match_args__ = ("kind", "n", "i")
+    kind = _Triple.kind
+    n = _Triple.n
+    i = _Triple.i
+
+    def __new__(cls, kind: GenKind, n: int, i: int):
+        if type(kind) is not GenKind:
+            raise ValueError(f"unknown generator kind {kind!r}")
+        if not (1 <= i < n if kind is _TRANSPOSITION else 1 <= i <= n):
+            need = "1 <= i < n, n > 1" if kind is _TRANSPOSITION else "1 <= i <= n"
+            raise IndexOutOfRange(f"{_FAMILIES[kind][0]}({n},{i}) needs {need}")
+        return _new(cls, (kind, n, i))
 
     def __repr__(self) -> str:
         return f"Generator(kind={self.kind!r}, n={self.n!r}, i={self.i!r})"

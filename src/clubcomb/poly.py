@@ -18,7 +18,7 @@ import itertools
 import re
 from collections import namedtuple
 from collections.abc import Callable, Iterator
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 
 from .errors import (
     ArityMismatch,
@@ -26,25 +26,22 @@ from .errors import (
     ParseError,
     UndeclaredVariable,
 )
-from .finord import FinFun
+from .finord import FinFun, Record
 
 _Pair = namedtuple("_Pair", "left right")  # only its item getters are used
 _new = tuple.__new__
 
 
-class Binary(tuple):
+class Binary(Record):
     """An immutable node with two children: the application of both term
     languages, and the inner node of a bracketing.
 
-    A tuple (left, right), allocated in C and read through the C item
-    getters collections.namedtuple installs; a subclass may store more items
-    after those two (comb.b_power stores a power of B there).  Value semantics
-    as a frozen dataclass with fields left and right: assignment and deletion
-    raise FrozenInstanceError, and ==, hash and repr see left and right only
-    and walk an explicit stack, so terms of any depth compare, hash and print
-    without recursion.  Two terms are equal when they have the same node
-    class at every node and equal leaves; a term never equals a plain tuple
-    or a node of another class, and terms are not ordered.
+    A finord.Record with the fields left and right; a subclass may store
+    more items after those two (comb.b_power stores a power of B there),
+    which a copy or unpickling drops.  ==, hash and repr see left and right
+    only and walk an explicit stack, so terms of any depth compare, hash and
+    print without recursion.  Two terms are equal when they have the same
+    node class at every node and equal leaves.
     """
 
     __slots__ = ()
@@ -53,12 +50,6 @@ class Binary(tuple):
 
     def __new__(cls, left, right):
         return _new(cls, (left, right))
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return type(self), (self.left, self.right)
@@ -78,17 +69,6 @@ class Binary(tuple):
             elif not a == b:
                 return False
         return True
-
-    def __ne__(self, other):
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-    def __lt__(self, other):
-        if isinstance(other, tuple):  # tuple's own order would compare items
-            raise TypeError(f"{type(self).__qualname__} terms are not ordered")
-        return NotImplemented
-
-    __le__ = __gt__ = __ge__ = __lt__
 
     def __hash__(self):
         return _rebuild(self, hash, _hash_pair)
@@ -135,9 +115,9 @@ class Sequent:
     def __post_init__(self):
         if self.context_size < 0:
             raise ValueError("context size must be non-negative")
-        for idx in _occurrences(self.term):
-            if not 1 <= idx <= self.context_size:
-                raise ValueError(f"variable {idx} outside context 1..{self.context_size}")
+        for v in _leaves(self.term):
+            if not 1 <= v.index <= self.context_size:
+                raise ValueError(f"variable {v.index} outside context 1..{self.context_size}")
 
     def __str__(self) -> str:
         return format_sequent(self)
@@ -193,11 +173,6 @@ def _rebuild(t, leaf: Callable, node: Callable = App):
         else:
             done.append(leaf(x))
     return done[0]
-
-
-def _occurrences(t: PolyTerm) -> list[int]:
-    """The variable of each occurrence, left to right."""
-    return [v.index for v in _leaves(t)]
 
 
 def usage(s: Sequent) -> UsageDecomposition:

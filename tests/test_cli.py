@@ -29,14 +29,11 @@ def run_cli(argv):
 
 @pytest.mark.parametrize("name,argv,expected_exit", ALL_CASES, ids=[c[0] for c in ALL_CASES])
 def test_golden_corpus(name, argv, expected_exit):
-    r = run_cli(argv)
-    assert r.returncode == expected_exit
-    assert r.stdout == (GOLDEN / f"{name}.out").read_bytes()
-
-
-def test_corpus_is_deterministic_across_runs():
-    for name, argv, _ in ALL_CASES:
-        assert run_cli(argv).stdout == run_cli(argv).stdout, name
+    first, second = run_cli(argv), run_cli(argv)  # two runs: output is deterministic
+    for r in (first, second):
+        assert r.returncode == expected_exit
+        assert r.stdout == (GOLDEN / f"{name}.out").read_bytes()
+    assert first.stderr == second.stderr
 
 
 def test_in_process_main_matches_subprocess(capsys):

@@ -242,8 +242,9 @@ def test_power_arguments_under_a_stuck_head_agree_at_every_fuel():
 
 
 def test_fresh_b_towers_agree_with_naive_step_loop_at_every_fuel():
-    for k in range(2, 6):
-        for j in range(1, k + 1):
+    # k = 1 is the bare head B: a fresh Prim("B") at j = 1, comb.B at j = 2
+    for k in range(1, 6):
+        for j in range(1, k + 2):
             tower = fresh_power(k, j)
             assert not any(map(stored_power, applications(tower)))
             for t in power_redexes(tower, k):
