@@ -109,24 +109,41 @@ _FLAGS = {
                         help="treat undeclared identifiers as constants"),
 }
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with command's subparser alone, or with all five if command is None.
 
-    The subparsers' metavar keeps the full choice list in the usage line of a
-    one-command parser.  Paths whose message names the choices themselves (no
-    command, an unknown one, top-level help) need every subparser.
-    """
-    parser = _Parser(prog="clubcomb", description=__doc__.splitlines()[0])
-    names = _COMMANDS if command is None else (command,)
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        _, help_text, flags = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text, description=help_text)
-        p.add_argument("input", help="the input string")
-        for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
+def _add_command_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give parser the input argument and the flags of command name."""
+    parser.add_argument("input", help="the input string")
+    for flag in _COMMANDS[name][2]:
+        parser.add_argument(flag, **_FLAGS[flag])
     return parser
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The five-command parser: a top-level parser with one subparser per command."""
+    parser = _Parser(prog="clubcomb", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, _) in _COMMANDS.items():
+        _add_command_arguments(sub.add_parser(name, help=help_text, description=help_text), name)
+    return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv as the five-command parser does, building it only when needed.
+
+    When argv[0] names a command, a parser built like that command's
+    subparser parses the rest alone, so its help and error text are the
+    subparser's.  The top-level parser answers the other cases itself, so
+    they build all five: arguments left over (its "unrecognized arguments"),
+    no command, an unknown one, or an option before the command.
+    """
+    if argv and argv[0] in _COMMANDS:
+        name = argv[0]
+        parser = _Parser(prog=f"clubcomb {name}", description=_COMMANDS[name][1])
+        ns, extras = _add_command_arguments(parser, name).parse_known_args(argv[1:])
+        if not extras:
+            ns.command = name
+            return ns
+    return _build_parser().parse_args(argv)
 
 
 def _chain_text(chain) -> str:
@@ -245,14 +262,15 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # The reader of stdout left (`| head`); nothing failed.  Point stdout
         # at devnull so the flush at exit does not raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_PIPE
 
 
 def _run(argv: list[str]) -> int:
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        ns = parser.parse_args(argv)
+        ns = _parse(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_OK
     if getattr(ns, "fuel", 1) < 1:

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import pathlib
 import random
 import resource
@@ -158,8 +159,9 @@ def test_flags_a_subcommand_does_not_use_are_rejected(argv, capsys):
     assert "unrecognized arguments" in captured.err
 
 
-# Each call builds only the subparser its first argument names; these argv
-# reach every other path too (help, no command, errors that list the choices).
+# A call whose first argument names a command is parsed by that command's
+# parser alone; these argv reach every other path too (help, no command,
+# arguments left over, errors that list the choices).
 _PARSER_PATHS = [argv for _, argv, _ in ALL_CASES] + [
     [], ["-h"], ["--help"], *([name, "-h"] for name in cli._COMMANDS),
     ["nope", "x |- x"], ["--json", "compile", "x |- x"],
@@ -168,36 +170,49 @@ _PARSER_PATHS = [argv for _, argv, _ in ALL_CASES] + [
     ["compile", "--club", "nope", "x |- x"], ["eval", "--fuel", "abc", "I a"],
     ["eval", "--fu", "5", "W W W"], ["compile", "--js", "x |- x"],
     ["--", "compile", "x |- x"], ["compile", "--", "x |- x"],
+    ["compile", "x |- x", "--bogus", "-h"], ["eval", "--fuel", "5", "W W W", "extra"],
+    ["eval", "--fuel=3", "W W W"], ["compile", "--club=fun", "x |- x"],
+    ["compile", "--json=1", "x |- x"], ["compile", "x |- x", "--"],
+    ["compile", "--", "--", "x |- x"], ["eval", "-x"], ["eval", "--", "-x"],
 ]
 
 
 @pytest.mark.parametrize("argv", _PARSER_PATHS, ids=map(repr, _PARSER_PATHS))
 def test_one_command_parser_answers_as_the_full_one(argv, monkeypatch, capsys):
-    monkeypatch.setenv("COLUMNS", "80")
-    code = cli.main(argv)
-    got = (code, *capsys.readouterr())
-    build = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda command=None: build())
-    assert got == (cli.main(argv), *capsys.readouterr())
+    for columns in ("40", "80", "200"):  # help text wraps at COLUMNS
+        monkeypatch.setenv("COLUMNS", columns)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parse", lambda argv: cli._build_parser().parse_args(argv))
+            expected = (cli.main(argv), *capsys.readouterr())
+        assert (cli.main(argv), *capsys.readouterr()) == expected, columns
 
 
-def test_a_named_command_builds_one_subparser(monkeypatch, capsys):
-    built = []
-    add_parser = argparse._SubParsersAction.add_parser
+def test_a_named_command_builds_one_parser(monkeypatch, capsys):
+    built, subparsers = [], []
+    init = argparse.ArgumentParser.__init__
+    init_subparsers = argparse._SubParsersAction.__init__
 
-    def counting(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    def counting_subparsers(self, *args, **kwargs):
+        init_subparsers(self, *args, **kwargs)
+        subparsers.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    monkeypatch.setattr(argparse._SubParsersAction, "__init__", counting_subparsers)
+    five = ["clubcomb", *(f"clubcomb {name}" for name in cli._COMMANDS)]
     for name in cli._COMMANDS:
         built.clear()
         cli.main([name, "--json", "x"])
-        assert built == [name]
-    for argv in ([], ["-h"], ["nope"], ["--json", "eval", "I"]):
+        assert (built, subparsers) == ([f"clubcomb {name}"], []), name
+    for argv in ([], ["-h"], ["nope"], ["--json", "eval", "I"], ["compile", "x |- x", "--bogus"]):
         built.clear()
+        subparsers.clear()
         cli.main(argv)
-        assert built == list(cli._COMMANDS), argv
+        named = [f"clubcomb {argv[0]}"] if argv and argv[0] in cli._COMMANDS else []
+        assert (built, len(subparsers)) == (named + five, 1), argv
     capsys.readouterr()
 
 
@@ -213,6 +228,20 @@ def test_reader_closing_stdout_is_not_an_internal_error():
     assert child.wait(timeout=30) == cli.EXIT_PIPE
     assert child.stderr.read() == b""
     child.stderr.close()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_closed_stdout_leaves_no_descriptor_open(monkeypatch):
+    n = 10000
+    argv = ["diagram", f"{n}->{n}:[{','.join(map(str, range(n, 0, -1)))}]"]
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(2):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert cli.main(argv) == cli.EXIT_PIPE
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 # Replaces finord.factor with one returning a wrong chain, then runs the CLI
