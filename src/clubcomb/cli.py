@@ -101,7 +101,6 @@ class _Parser(argparse.ArgumentParser):
 _FLAGS = {
     "--club": dict(choices=_CLUB_NAMES, default=None,
                    help="work in this club instead of the minimal one"),
-    "--no-verify": dict(action="store_true", help="skip verification of compiled terms"),
     "--fuel": dict(type=int, default=comb.DEFAULT_FUEL,
                    help=f"reduction step budget (default: {comb.DEFAULT_FUEL})"),
     "--json": dict(action="store_true", help="emit one JSON object"),
@@ -208,10 +207,10 @@ def _cmd_analyze(ns) -> int:
 def _cmd_compile(ns) -> int:
     club = Club(ns.club) if ns.club else None
     s, constants = _parse_input(ns)
-    r = compiler.compile(s, club=club, verify=not ns.no_verify, constants=constants)
+    r = compiler.compile(s, club=club, constants=constants)
     _emit(ns, usage=r.usage, skeleton=r.skeleton, minimal_club=r.minimal_club,
           club_used=r.club_used, generators=r.generator_chain, term=r.output,
-          **(dict(verified=r.verified, steps=r.steps) if r.verified else {}))
+          verified=r.verified, steps=r.steps)
     return EXIT_OK
 
 
@@ -247,7 +246,7 @@ _COMMANDS = {
     "analyze": (_cmd_analyze, "print the usage decomposition and minimal club of a polynomial",
                 ("--json", "--constants")),
     "compile": (_cmd_compile, "compile a polynomial to a combinator term over a club's basis",
-                ("--club", "--no-verify", "--json", "--constants")),
+                ("--club", "--json", "--constants")),
     "eval": (_cmd_eval, "reduce a combinator term to normal form", ("--fuel", "--json")),
     "factor": (_cmd_factor, "factor a finite function into club generators", ("--club", "--json")),
     "diagram": (_cmd_diagram, "draw a finite function as dots and lines", ("--json",)),

@@ -90,10 +90,10 @@ class CompileReport:
     the smallest club containing usage, and club_used the club it was
     factored in (minimal_club unless one was requested).  output is the
     closed witness applied to the constant symbols, which constants lists in
-    slot order (empty outside constants mode).  verified says whether output
-    was checked by reduction (compile returns no witness that failed its
-    check), and steps is the step count of that check, the witness's
-    primitive count; they are False and 0 when verification was skipped.
+    slot order (empty outside constants mode).  compile checks every output
+    by reduction and returns no witness that failed, so verified is always
+    True; it stays because the JSON schema and the benchmarks read it.
+    steps is the step count of that check, the witness's primitive count.
     """
 
     input: poly.Sequent
@@ -111,7 +111,6 @@ class CompileReport:
 def compile(
     s: poly.Sequent,
     club: Club | None = None,
-    verify: bool = True,
     constants: tuple[str, ...] = (),
 ) -> CompileReport:
     """Compile s over the given club (default: its minimal club).
@@ -126,12 +125,12 @@ def compile(
     with an empty context can hold a term), and ParseError for a constant
     named B, C, K, W or I, which the printed term would read back as that
     primitive.
-    With or without verify, the factor chain must recompose to the usage
-    (finord.recompose) before it is lifted; otherwise VerificationFailed, or
-    ArityMismatch for a chain whose arities do not line up.
+    The factor chain must recompose to the usage (finord.recompose) before
+    it is lifted; otherwise VerificationFailed, or ArityMismatch for a chain
+    whose arities do not line up.
 
-    With verify, the witness is checked by comb.verify and compile is its
-    only judge: it returns a report only when the check passed, and raises
+    The witness is then checked by comb.verify and compile is its only
+    judge: it returns a report only when the check passed, and raises
     VerificationFailed otherwise.  Every primitive of the witness fires
     exactly once when it is verified, so the fold counts them (B^k has
     max(2k - 1, 1), and each lift or contraction adds one) and that count is
@@ -167,18 +166,16 @@ def compile(
             term = lift(term, g)
             leaves += _added_leaves(g.i - 1)
         output = comb.apply(term, [FreeSym(name) for name in constants])
-        steps = 0
-        if verify:
-            try:
-                correct, steps = comb.verify(output, s, leaves, constants)
-            except FuelExhausted as e:
-                raise VerificationFailed(
-                    f"verification took more steps than the witness's {leaves} primitives") from e
-            if steps != leaves:
-                raise VerificationFailed(
-                    f"verification took {steps} steps; the witness has {leaves} primitives")
-            if not correct:
-                raise VerificationFailed("verification failed")
+        try:
+            correct, steps = comb.verify(output, s, leaves, constants)
+        except FuelExhausted as e:
+            raise VerificationFailed(
+                f"verification took more steps than the witness's {leaves} primitives") from e
+        if steps != leaves:
+            raise VerificationFailed(
+                f"verification took {steps} steps; the witness has {leaves} primitives")
+        if not correct:
+            raise VerificationFailed("verification failed")
     finally:
         if collecting:
             gc.enable()
@@ -190,7 +187,7 @@ def compile(
         minimal_club=minimal,
         generator_chain=chain,
         output=output,
-        verified=verify,
+        verified=True,
         steps=steps,
         constants=tuple(constants),
     )

@@ -2,9 +2,9 @@
 
 CASES holds the 12 cases the acceptance suite replays; JSON_CASES adds 8
 --json cases, one per JSON record shape not in CASES (factor and diagram
-output, fuel exhaustion, compile without verification and with constants,
-club violations from compile and factor, a parse error).  Each case is
-(name, argv, expected_exit).  Expected stdout lives in
+output, fuel exhaustion, compile in a club other than the minimal one and
+with constants, club violations from compile and factor, a parse error).
+Each case is (name, argv, expected_exit).  Expected stdout lives in
 tests/golden/<name>.out and must match byte for byte.
 """
 
@@ -27,7 +27,7 @@ JSON_CASES = [
     ("factor_fun_json", ["factor", "--json", "--club", "fun", "3->2:[2,1,1]"], 0),
     ("diagram_json", ["diagram", "--json", "2->3:[3,1]"], 0),
     ("eval_fuel_exhausted_json", ["eval", "--json", "--fuel", "50", "W W W"], 3),
-    ("compile_no_verify_json", ["compile", "--json", "--no-verify", "x,y |- y x"], 0),
+    ("compile_fun_json", ["compile", "--json", "--club", "fun", "x,y |- y x"], 0),
     ("compile_constants_json", ["compile", "--json", "--constants", "x |- a (b x)"], 0),
     ("compile_swap_in_id_json", ["compile", "--json", "--club", "id", "x1,x2 |- x2 x1"], 2),
     ("factor_not_in_club_json", ["factor", "--json", "--club", "bij", "2->1:[1,1]"], 2),

@@ -70,7 +70,7 @@ def test_json_keys_stay_within_schema():
     json_cases = [
         ["analyze", "--json", "x1,x2 |- x1 x2 x2"],
         ["compile", "--json", "x1,x2,x3 |- x3 x1 x1"],
-        ["compile", "--json", "--no-verify", "x |- x"],
+        ["compile", "--json", "x |- x"],
         ["compile", "--json", "--constants", "x |- a x"],
         ["eval", "--json", "K a b"],
         ["eval", "--json", "--fuel", "50", "W W W"],
@@ -88,13 +88,6 @@ def test_json_keys_stay_within_schema():
         for g in obj.get("generators", []):
             assert set(g) == {"kind", "n", "i"}
             assert g["kind"] in ("transposition", "degeneracy", "face")
-
-
-def test_no_verify_omits_verification_fields():
-    r = run_cli(["compile", "--json", "--no-verify", "x1,x2 |- x2 x1"])
-    obj = json.loads(r.stdout)
-    assert "verified" not in obj and "steps" not in obj
-    assert obj["term"] == "I C (I B I)"
 
 
 def test_undeclared_variable_is_a_usage_error():
@@ -151,6 +144,7 @@ def test_unknown_flag_rejected():
     ["factor", "--fuel", "5", "1->1:[1]"],
     ["diagram", "--club", "fun", "1->1:[1]"],
     ["compile", "--fuel", "5", "x |- x"],
+    ["compile", "--no-verify", "x |- x"],
 ])
 def test_flags_a_subcommand_does_not_use_are_rejected(argv, capsys):
     assert cli.main(argv) == 1
@@ -172,6 +166,7 @@ _PARSER_PATHS = [argv for _, argv, _ in ALL_CASES] + [
     ["--", "compile", "x |- x"], ["compile", "--", "x |- x"],
     ["compile", "x |- x", "--bogus", "-h"], ["eval", "--fuel", "5", "W W W", "extra"],
     ["eval", "--fuel=3", "W W W"], ["compile", "--club=fun", "x |- x"],
+    ["compile", "--no-verify", "x |- x"],
     ["compile", "--json=1", "x |- x"], ["compile", "x |- x", "--"],
     ["compile", "--", "--", "x |- x"], ["eval", "-x"], ["eval", "--", "-x"],
 ]
@@ -256,9 +251,9 @@ sys.exit(cli.main(sys.argv[1:]))
 
 @pytest.mark.parametrize("argv,chain", [
     (["factor", "2->2:[2,1]"], "[]"),
-    (["compile", "--no-verify", "x, y |- y x"], "[finord.transposition(3, 1)]"),
-    (["compile", "--no-verify", "x, y |- y x"], "[finord.face(3, 3)]"),
-    (["compile", "--no-verify", "x, y |- x y"], "[finord.transposition(2, 1)] * 3"),
+    (["compile", "x, y |- y x"], "[finord.transposition(3, 1)]"),
+    (["compile", "x, y |- y x"], "[finord.face(3, 3)]"),
+    (["compile", "x, y |- x y"], "[finord.transposition(2, 1)] * 3"),
 ])
 def test_wrong_factor_chain_is_internal_error_without_asserts(argv, chain):
     code = _WRONG_FACTOR.format(chain=chain)
@@ -447,10 +442,10 @@ def test_wrong_normal_form_is_internal_error(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["analyze", left_comb(1500)],
-    ["compile", "--no-verify", left_comb(1500)],
+    ["compile", left_comb(1500)],
     ["analyze", "x |- " + "(" * 3000 + "x" + ")" * 3000],
     ["analyze", left_comb(10**4)],
-], ids=["analyze-1500", "compile-no-verify-1500", "analyze-3000-parens", "analyze-10000"])
+], ids=["analyze-1500", "compile-1500", "analyze-3000-parens", "analyze-10000"])
 def test_deep_inputs_succeed(argv, capsys):
     assert cli.main(argv) == 0
     assert capsys.readouterr().err == ""

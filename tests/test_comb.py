@@ -478,7 +478,7 @@ def test_format_comb_matches_the_walk_on_compiled_witnesses():
                                              ("identity", "reversal", "random")):
         s = poly.act(oracles.linear(oracles.ladder_shape(shape, n, rng)),
                      oracles.ladder_usage(usage, n, rng))
-        w = compiler.compile(s, verify=False).output
+        w = compiler.compile(s).output
         text = format_comb(w)
         assert text == oracles.naive_format_comb(w)
         assert parse_comb(text) == w

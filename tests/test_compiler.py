@@ -205,13 +205,6 @@ def test_compile_report_is_deterministic():
     assert compile(s) == compile(s)
 
 
-def test_compile_skip_verification():
-    report = compile(poly.parse("x1,x2 |- x2 x1"), verify=False)
-    assert report.verified is False and report.steps == 0
-    ok, _ = comb.verify(report.output, report.input)
-    assert ok
-
-
 def test_compile_chain_recomposes_to_usage():
     s = poly.parse("x1,x2,x3 |- x3 x1 x3")
     report = compile(s)
@@ -219,17 +212,16 @@ def test_compile_chain_recomposes_to_usage():
     assert report.usage == poly.usage(s).usage
 
 
-@pytest.mark.parametrize("verify", [True, False])
-def test_compile_checks_the_chain_with_or_without_verification(verify, monkeypatch):
+def test_compile_checks_the_chain_before_lifting_it(monkeypatch):
     s = poly.parse("x, y |- x y")
     # well typed but wrong: three swaps of an identity usage
     monkeypatch.setattr(finord, "factor", lambda f, club: [finord.transposition(2, 1)] * 3)
     with pytest.raises(VerificationFailed, match="^factor chain does not recompose to the usage$"):
-        compile(s, verify=verify)
+        compile(s)
     # ill typed: the swap needs three arguments
     monkeypatch.setattr(finord, "factor", lambda f, club: [finord.transposition(3, 1)])
     with pytest.raises(ArityMismatch):
-        compile(s, verify=verify)
+        compile(s)
 
 
 def all_small_sequents(max_occurrences, max_context):
