@@ -124,10 +124,9 @@ def compile(
     not in the club, ArityZero when constants fill every slot (no Sequent
     with an empty context can hold a term), and ParseError for a constant
     named B, C, K, W or I, which the printed term would read back as that
-    primitive.
-    The factor chain must recompose to the usage (finord.recompose) before
-    it is lifted; otherwise VerificationFailed, or ArityMismatch for a chain
-    whose arities do not line up.
+    primitive.  The chain it lifts is one finord.factor has checked to
+    rebuild the usage; factor raises VerificationFailed, or ArityMismatch,
+    for a chain that does not.
 
     The witness is then checked by comb.verify and compile is its only
     judge: it returns a report only when the check passed, and raises
@@ -154,8 +153,6 @@ def compile(
     minimal = finord.minimal_club(u)
     club_used = minimal if club is None else club
     chain = tuple(finord.factor(u, club_used))
-    if finord.recompose(chain, u.dom) != u:
-        raise VerificationFailed("factor chain does not recompose to the usage")
 
     collecting = gc.isenabled()
     gc.disable()

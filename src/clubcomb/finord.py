@@ -26,6 +26,7 @@ from .errors import (
     ClubViolation,
     IndexOutOfRange,
     ParseError,
+    VerificationFailed,
 )
 
 
@@ -268,7 +269,10 @@ def factor(f: FinFun, c: Club) -> list[Generator]:
     always merging at the smallest equal-adjacent index, then into faces by
     inserting the missed codomain points in ascending order.  Composing the
     returned generators left-to-right (earliest applied first) rebuilds f
-    exactly, and every emitted generator lies in c whenever f does.
+    exactly, and every emitted generator lies in c whenever f does.  factor
+    recomposes the chain before returning it, raising ArityMismatch for a
+    chain whose arities do not line up and VerificationFailed for one that
+    does not rebuild f, so callers need not check it again.
     """
     if not contains(c, f):
         minimal = minimal_club(f)
@@ -314,6 +318,8 @@ def factor(f: FinFun, c: Club) -> list[Generator]:
             rank += 1
             gens.append(face(rank, v))
 
+    if recompose(gens, m) != f:
+        raise VerificationFailed(f"factor({format_finfun(f)}, {c.display}) does not recompose")
     return gens
 
 

@@ -5,8 +5,12 @@ CASES holds the 12 cases the acceptance suite replays; JSON_CASES adds 8
 output, fuel exhaustion, compile in a club other than the minimal one and
 with constants, club violations from compile and factor, a parse error).
 Each case is (name, argv, expected_exit).  Expected stdout lives in
-tests/golden/<name>.out and must match byte for byte.
+tests/golden/<name>.out and must match byte for byte.  run_cli runs one
+command line in a child interpreter.
 """
+
+import subprocess
+import sys
 
 CASES = [
     ("analyze_duplication", ["analyze", "x1,x2 |- x1 x2 x2"], 0),
@@ -33,3 +37,8 @@ JSON_CASES = [
     ("factor_not_in_club_json", ["factor", "--json", "--club", "bij", "2->1:[1,1]"], 2),
     ("analyze_undeclared_json", ["analyze", "--json", "x |- y"], 1),
 ]
+
+
+def run_cli(argv, **kwargs):
+    """Run `python -m clubcomb *argv` in a child interpreter, capturing its output."""
+    return subprocess.run([sys.executable, "-m", "clubcomb", *argv], capture_output=True, **kwargs)

@@ -11,12 +11,10 @@ import functools
 import itertools
 import pathlib
 import random
-import subprocess
-import sys
 import time
 
 import oracles
-from cli_corpus import CASES
+from cli_corpus import CASES, run_cli
 from clubcomb import comb, compiler, finord, poly
 from clubcomb.comb import App, B, C, FreeSym, I, K, ReductionStatus, W
 from clubcomb.errors import ClubViolation
@@ -265,18 +263,12 @@ def test_criterion_10_fuel_accounting():
     assert max(_observed_steps) < 10_000
 
 
-def _run_cli(argv):
-    return subprocess.run(
-        [sys.executable, "-m", "clubcomb"] + argv, capture_output=True
-    )
-
-
 @criterion(11, "CLI corpus is byte-identical across runs")
 def test_criterion_11_cli_corpus():
     assert len(CASES) == 12
     for name, argv, expected_exit in CASES:
-        first = _run_cli(argv)
-        second = _run_cli(argv)
+        first = run_cli(argv)
+        second = run_cli(argv)
         golden = (GOLDEN / f"{name}.out").read_bytes()
         for run in (first, second):
             assert run.returncode == expected_exit, (name, run.stderr)

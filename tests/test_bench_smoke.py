@@ -5,7 +5,6 @@ work it counts (reduction steps, witness sizes, generator counts) with
 bench/counts.json, so a change that moves any of them fails here.
 """
 
-import os
 import pathlib
 import subprocess
 import sys
@@ -14,11 +13,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_bench_smoke_counts_match():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     r = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), "--smoke"],
-        capture_output=True, text=True, env=env, cwd=ROOT,
+        capture_output=True, text=True, cwd=ROOT,
     )
     assert r.returncode == 0, r.stderr
     assert "smoke: counts match" in r.stdout.splitlines()

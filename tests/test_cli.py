@@ -16,16 +16,10 @@ from clubcomb import cli, comb, compiler, finord
 from clubcomb.errors import VerificationFailed
 from clubcomb.finord import Club, FinFun, parse_finfun
 from clubcomb.poly import parse
-from cli_corpus import CASES, JSON_CASES
+from cli_corpus import CASES, JSON_CASES, run_cli
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 ALL_CASES = CASES + JSON_CASES
-
-
-def run_cli(argv):
-    return subprocess.run(
-        [sys.executable, "-m", "clubcomb"] + argv, capture_output=True
-    )
 
 
 @pytest.mark.parametrize("name,argv,expected_exit", ALL_CASES, ids=[c[0] for c in ALL_CASES])
@@ -239,12 +233,14 @@ def test_closed_stdout_leaves_no_descriptor_open(monkeypatch):
     assert len(os.listdir("/proc/self/fd")) == before
 
 
-# Replaces finord.factor with one returning a wrong chain, then runs the CLI
-# with assertions stripped (-O): the CLI must still refuse the result.
-_WRONG_FACTOR = """
+# Makes finord.recompose judge every chain as if it were a wrong one, then
+# runs the CLI with assertions stripped (-O): the check inside factor must
+# still refuse the chain.
+_WRONG_CHAIN = """
 import sys
 from clubcomb import cli, finord
-finord.factor = lambda f, club: {chain}
+recompose = finord.recompose
+finord.recompose = lambda chain, dom: recompose({chain}, dom)
 sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -256,7 +252,7 @@ sys.exit(cli.main(sys.argv[1:]))
     (["compile", "x, y |- x y"], "[finord.transposition(2, 1)] * 3"),
 ])
 def test_wrong_factor_chain_is_internal_error_without_asserts(argv, chain):
-    code = _WRONG_FACTOR.format(chain=chain)
+    code = _WRONG_CHAIN.format(chain=chain)
     r = subprocess.run([sys.executable, "-O", "-c", code] + argv, capture_output=True)
     assert r.returncode == 4
     assert r.stdout == b""
@@ -300,15 +296,13 @@ def _cap_memory(megabytes):
 def test_running_out_of_memory_exits_4_with_one_line():
     # ten million faces need gigabytes: factor runs out of its 200 MB, and the
     # report must not need the memory that the failed chain still holds
-    r = subprocess.run([sys.executable, "-m", "clubcomb", "factor", "1->10000000:[1]"],
-                       capture_output=True, timeout=60, preexec_fn=_cap_memory(200))
+    r = run_cli(["factor", "1->10000000:[1]"], timeout=60, preexec_fn=_cap_memory(200))
     assert (r.returncode, r.stdout, r.stderr) == (4, b"", b"error: internal error: MemoryError\n")
 
 
 def test_factor_of_a_wide_codomain_takes_linear_time():
     # 199,999 faces, each recomposed at the finger: a rebuild per generator takes hours
-    r = subprocess.run([sys.executable, "-m", "clubcomb", "factor", "1->200000:[1]"],
-                       capture_output=True, timeout=60, preexec_fn=_cap_memory(1024))
+    r = run_cli(["factor", "1->200000:[1]"], timeout=60, preexec_fn=_cap_memory(1024))
     assert r.returncode == 0 and r.stderr == b""
     chain = r.stdout.split()
     assert len(chain) == 199999
@@ -498,9 +492,8 @@ def test_number_past_the_int_digit_limit_is_usage_error(argv, json_flag, capsys)
 
 def test_club_violation_with_a_huge_codomain_exits_2():
     # under a 1 GB address-space cap: classifying must not build the codomain
-    r = subprocess.run([sys.executable, "-m", "clubcomb", "factor", "--club", "id",
-                        "1->1000000000:[1]"], capture_output=True, timeout=60,
-                       preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    r = run_cli(["factor", "--club", "id", "1->1000000000:[1]"], timeout=60,
+                preexec_fn=_cap_memory(1024))
     assert r.returncode == 2
     assert r.stderr == b"error: 1->1000000000:[1] is not in Id; its minimal club is Minj\n"
 

@@ -9,6 +9,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
+import clubcomb
 from clubcomb import comb, finord, poly
 from clubcomb.comb import App, B, C, I, K, W, FreeSym
 from clubcomb.compiler import compile, compile_bracketing, lift
@@ -214,14 +215,55 @@ def test_compile_chain_recomposes_to_usage():
 
 def test_compile_checks_the_chain_before_lifting_it(monkeypatch):
     s = poly.parse("x, y |- x y")
-    # well typed but wrong: three swaps of an identity usage
-    monkeypatch.setattr(finord, "factor", lambda f, club: [finord.transposition(2, 1)] * 3)
-    with pytest.raises(VerificationFailed, match="^factor chain does not recompose to the usage$"):
+    recompose = finord.recompose
+    # well typed but wrong: factor's chain judged as three swaps of an identity usage
+    monkeypatch.setattr(finord, "recompose",
+                        lambda chain, dom: recompose([finord.transposition(2, 1)] * 3, dom))
+    with pytest.raises(VerificationFailed, match=r"^factor\(2->2:\[1,2\], Id\) does not recompose$"):
         compile(s)
     # ill typed: the swap needs three arguments
-    monkeypatch.setattr(finord, "factor", lambda f, club: [finord.transposition(3, 1)])
+    monkeypatch.setattr(finord, "recompose",
+                        lambda chain, dom: recompose([finord.transposition(3, 1)], dom))
     with pytest.raises(ArityMismatch):
         compile(s)
+
+
+def test_factor_and_compile_refuse_a_chain_recompose_disagrees_with(monkeypatch):
+    monkeypatch.setattr(finord, "recompose", lambda chain, dom: FinFun(0, 0, ()))
+    with pytest.raises(VerificationFailed, match=r"^factor\(2->2:\[2,1\], Bij\) does not recompose$"):
+        clubcomb.factor(FinFun(2, 2, (2, 1)), Club.BIJ)
+    with pytest.raises(VerificationFailed, match=r"^factor\(2->2:\[2,1\], Fun\) does not recompose$"):
+        compile(poly.parse("x, y |- y x"), club=Club.FUN)
+
+
+def test_compile_reports_the_chain_factor_returned_and_judged(monkeypatch):
+    # Verification does not judge the chain: lift reads only a generator's
+    # kind and i, so a factor returning [t(3,1)] for the usage 2->2:[2,1] of
+    # "x, y |- y x" gave a term that verified.  Only factor's own check
+    # stands between a wrong chain and the report.
+    factor, recompose = finord.factor, finord.recompose
+    returned, judged = [], []
+
+    def spy_factor(f, club):
+        chain = factor(f, club)
+        returned.append(chain)
+        return chain
+
+    def spy_recompose(chain, dom):
+        judged.append((chain, recompose(chain, dom)))
+        return judged[-1][1]
+
+    monkeypatch.setattr(finord, "factor", spy_factor)
+    monkeypatch.setattr(finord, "recompose", spy_recompose)
+    for s in all_small_sequents(3, 3):
+        for club in (None, Club.FUN):
+            returned.clear()
+            judged.clear()
+            report = compile(s, club=club)
+            [chain] = returned
+            [(checked, recomposed)] = judged
+            assert checked is chain and recomposed == report.usage
+            assert report.generator_chain == tuple(chain)
 
 
 def all_small_sequents(max_occurrences, max_context):
