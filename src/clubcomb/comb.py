@@ -21,6 +21,7 @@ from operator import attrgetter
 
 from . import poly
 from .errors import FuelExhausted
+from .poly import App
 
 DEFAULT_FUEL = 10**6
 
@@ -45,10 +46,6 @@ class FreeSym:
 
 
 _new = tuple.__new__
-
-
-class App(poly.Binary): __slots__ = ()
-
 
 CombTerm = Prim | FreeSym | App
 
@@ -213,7 +210,7 @@ def verify(
     result = normalize(apply(candidate, syms), fuel)
     if result.status is ReductionStatus.FUEL_EXHAUSTED:
         raise FuelExhausted(f"no normal form within {result.steps} steps", steps=result.steps)
-    expected = poly._rebuild(s.term, lambda v: slots[v.index - 1], App)
+    expected = poly._rebuild(s.term, lambda v: slots[v.index - 1])
     return result.term == expected, result.steps
 
 
@@ -231,7 +228,6 @@ def parse_comb(text: str) -> CombTerm:
     return poly.parse_applications(
         poly.tokenize(text, _TOKEN_RE),
         lambda tok: _PRIMS.get(tok) or FreeSym(tok),
-        App,
     )
 
 
@@ -244,7 +240,7 @@ def format_comb(t: CombTerm) -> str:
     an argument, is printed in one piece, B B (B B (... (B B B))): the text
     the node-by-node walk gives it.
     """
-    return poly.format_applications(t, App, _name, _power_text)
+    return poly.format_applications(t, _name, _power_text)
 
 
 def _power_text(a: App) -> str:

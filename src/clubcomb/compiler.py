@@ -4,8 +4,9 @@ The pipeline mirrors the constructive completeness argument:
 
   1. usage analysis splits the input into a linear skeleton and a usage
      function u;
-  2. the skeleton alone is compiled with B and I by repeatedly contracting
-     the leftmost adjacent pair of occurrences;
+  2. the skeleton, the linear polynomial whose occurrence j is variable j,
+     is compiled with B and I by repeatedly contracting the leftmost
+     adjacent pair of occurrences;
   3. u is factored into club generators, and each generator g is lifted
      through the witness: precomposing with g corresponds to wrapping the
      term in B^(i-1) applied to C (transposition), K (face) or W
@@ -27,30 +28,31 @@ from .errors import ArityMismatch, ArityZero, FuelExhausted, ParseError, Verific
 from .finord import Club, FinFun, Generator
 
 
-def _contractions(b: poly.Bracketing):
-    """The right turns from the root to each node of b, in reverse post-order."""
-    stack = [(b, 0)]  # (subtree, right turns from the root)
+def _contractions(t: poly.PolyTerm):
+    """The right turns from the root to each node of t, in reverse post-order."""
+    stack = [(t, 0)]  # (subtree, right turns from the root)
     while stack:
         node, turns = stack.pop()
-        if type(node) is poly.Node:
+        if type(node) is App:
             yield turns
             stack += ((node.left, turns), (node.right, turns + 1))
 
 
-def compile_bracketing(b: poly.Bracketing) -> CombTerm:
-    """A closed B/I term computing the ordered linear polynomial of shape b.
+def compile_bracketing(t: poly.PolyTerm) -> CombTerm:
+    """A closed B/I term computing the ordered linear polynomial with the
+    shape of t; only t's bracketing is read, not its leaves.
 
     A single occurrence is I.  Otherwise the leftmost node whose children are
     both leaves covers occurrences i, i+1; contracting it to a leaf gives a
     shorter shape with witness a, and B^(i-1) B a computes the original.
 
-    Those contractions meet the nodes of b in post-order, and by then every
+    Those contractions meet the nodes of t in post-order, and by then every
     subtree left of a node's path from the root is one leaf, so its i - 1 is
     the number of right turns on that path.  The innermost witness belongs
     to the last contraction, so the nodes are read in reverse post-order.
     """
     term = comb.I
-    for turns in _contractions(b):
+    for turns in _contractions(t):
         term = App(App(comb.b_power(turns), comb.B), term)
     return term
 
@@ -99,7 +101,7 @@ class CompileReport:
     input: poly.Sequent
     club_used: Club
     usage: FinFun
-    skeleton: poly.Bracketing
+    skeleton: poly.PolyTerm
     minimal_club: Club
     generator_chain: tuple[Generator, ...]
     output: CombTerm

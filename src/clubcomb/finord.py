@@ -87,7 +87,8 @@ _new = tuple.__new__
 
 class Record(tuple):
     """A tuple with the value semantics of a frozen dataclass whose fields
-    are its items, the base of the generators here and of poly's term nodes.
+    are its items, the base of the generators here and of poly.App, the one
+    application node of both term languages.
 
     Allocated in C by tuple.__new__; subclasses read their fields through the
     C item getters collections.namedtuple installs.  Assignment and deletion

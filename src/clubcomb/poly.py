@@ -5,11 +5,11 @@ variables by binary application alone.  Internally variables are positional
 (Var 1 .. Var n); surface names exist only in the concrete syntax and are
 erased at parse time, so alpha-equivalent inputs parse to equal sequents.
 
-Every sequent splits canonically into a linear skeleton (the bracketing of
-its application tree) and a usage function sending each occurrence, numbered
-left to right, to the context position it uses.  Which club that usage
-function inhabits is exactly what determines the combinator basis needed to
-compile the sequent.
+Every sequent s splits canonically into a linear skeleton, the term whose
+occurrence j, numbered left to right, is Var j, and a usage function u
+sending occurrence j to the context position it uses, so that
+act(Sequent(u.dom, skeleton), u) == s.  Which club u inhabits is exactly
+what determines the combinator basis needed to compile the sequent.
 """
 
 from __future__ import annotations
@@ -32,16 +32,16 @@ _Pair = namedtuple("_Pair", "left right")  # only its item getters are used
 _new = tuple.__new__
 
 
-class Binary(Record):
-    """An immutable node with two children: the application of both term
-    languages, and the inner node of a bracketing.
+class App(Record):
+    """The application node of both term languages: polynomials over Var
+    leaves, and combinator terms (comb.App is this class).
 
-    A finord.Record with the fields left and right; a subclass may store
-    more items after those two (comb.b_power stores a power of B there),
-    which a copy or unpickling drops.  ==, hash and repr see left and right
-    only and walk an explicit stack, so terms of any depth compare, hash and
-    print without recursion.  Two terms are equal when they have the same
-    node class at every node and equal leaves.
+    A finord.Record with the fields left and right; a node may store more
+    items after those two (comb.b_power stores a power of B there), which a
+    copy or unpickling drops.  ==, hash and repr see left and right only and
+    walk an explicit stack, so terms of any depth compare, hash and print
+    without recursion.  Two terms are equal when they have the same shape
+    and equal leaves, so the languages stay apart through their leaves.
     """
 
     __slots__ = ()
@@ -62,9 +62,7 @@ class Binary(Record):
             a, b = stack.pop()
             if a is b:
                 continue
-            if isinstance(a, Binary) or isinstance(b, Binary):
-                if type(a) is not type(b):
-                    return False
+            if type(a) is App and type(b) is App:
                 stack += ((a.right, b.right), (a.left, b.left))
             elif not a == b:
                 return False
@@ -91,15 +89,12 @@ def _hash_pair(left: int, right: int) -> int:
 
 
 def _repr_child(x):
-    return x if isinstance(x, Binary) else repr(x)
+    return x if type(x) is App else repr(x)
 
 
 @dataclass(frozen=True)
 class Var:
     index: int  # 1-based position in the context
-
-
-class App(Binary): __slots__ = ()
 
 
 PolyTerm = Var | App
@@ -124,23 +119,10 @@ class Sequent:
 
 
 @dataclass(frozen=True)
-class Leaf:
-    pass
-
-
-class Node(Binary): __slots__ = ()
-
-
-Bracketing = Leaf | Node
-
-LEAF = Leaf()
-
-
-@dataclass(frozen=True)
 class UsageDecomposition:
-    """skeleton: the shape of the application tree; usage: occurrence -> context slot."""
+    """skeleton: the linear term, occurrence j is Var j; usage: occurrence -> context slot."""
 
-    skeleton: Bracketing
+    skeleton: PolyTerm
     usage: FinFun
 
 
@@ -149,7 +131,7 @@ def _leaves(t) -> Iterator:
     stack = [t]
     while stack:
         node = stack.pop()
-        if isinstance(node, Binary):
+        if type(node) is App:
             stack.append(node.right)
             stack.append(node.left)
         else:
@@ -168,7 +150,7 @@ def _rebuild(t, leaf: Callable, node: Callable = App):
         if x is None:
             right = done.pop()
             done.append(node(done.pop(), right))
-        elif isinstance(x, Binary):
+        elif type(x) is App:
             stack += (None, x.right, x.left)
         else:
             done.append(leaf(x))
@@ -178,16 +160,16 @@ def _rebuild(t, leaf: Callable, node: Callable = App):
 def usage(s: Sequent) -> UsageDecomposition:
     """Split s into its linear skeleton and usage function.
 
-    One _rebuild pass reads the occurrences left to right and builds the
-    skeleton node for node.
+    One _rebuild pass reads the occurrences left to right, numbering them in
+    the skeleton as it goes.
     """
     occ: list[int] = []
 
-    def leaf(v: Var) -> Leaf:
+    def leaf(v: Var) -> Var:
         occ.append(v.index)
-        return LEAF
+        return Var(len(occ))
 
-    skeleton = _rebuild(s.term, leaf, Node)
+    skeleton = _rebuild(s.term, leaf)
     return UsageDecomposition(skeleton, FinFun(len(occ), s.context_size, tuple(occ)))
 
 
@@ -218,12 +200,12 @@ def tokenize(text: str, token_re: re.Pattern) -> list[str]:
     return tokens
 
 
-def parse_applications(tokens: list[str], atom: Callable, app: Callable):
+def parse_applications(tokens: list[str], atom: Callable):
     """Parse juxtaposition: left-nested application of atoms and parenthesized terms.
 
-    atom(token) builds a leaf and is called on the leaves left to right;
-    app(left, right) builds an application.  One partial application is kept
-    per open parenthesis, so nesting depth costs no recursion.
+    atom(token) builds a leaf and is called on the leaves left to right.  One
+    partial application is kept per open parenthesis, so nesting depth costs
+    no recursion.
     """
     stack: list = [None]  # None: no term started yet at this level
     for tok in tokens:
@@ -241,7 +223,7 @@ def parse_applications(tokens: list[str], atom: Callable, app: Callable):
             t = stack.pop()
         else:
             t = atom(tok)
-        stack[-1] = t if stack[-1] is None else app(stack[-1], t)
+        stack[-1] = t if stack[-1] is None else App(stack[-1], t)
     if stack[-1] is None:
         raise ParseError("expected a term")
     if len(stack) > 1:
@@ -289,7 +271,7 @@ def parse_with_constants(text: str) -> tuple[Sequent, tuple[str, ...]]:
         occurrences.append(name)
         return Var(len(occurrences))
 
-    skeleton = parse_applications(term_tokens, atom, App)
+    skeleton = parse_applications(term_tokens, atom)
     constants = tuple(name for name in occurrences if name not in names)
     k = len(constants)
     slots = itertools.count(1)
@@ -306,9 +288,9 @@ def parse(text: str) -> Sequent:
     return s
 
 
-def format_applications(t, app: type, name: Callable, node: Callable | None = None) -> str:
+def format_applications(t, name: Callable, node: Callable | None = None) -> str:
     """Juxtaposition with minimal parentheses: only an argument that is itself
-    an application (of type app exactly) is parenthesized; name renders a leaf.
+    an application is parenthesized; name renders a leaf.
 
     node renders in one piece an application that stores items beyond left
     and right (comb.b_power stores a power of B there), wherever the walk
@@ -323,12 +305,12 @@ def format_applications(t, app: type, name: Callable, node: Callable | None = No
         if type(x) is str:
             parts.append(x)
             continue
-        while type(x) is app:  # down the left spine, arguments onto the stack
+        while type(x) is App:  # down the left spine, arguments onto the stack
             if len(x) > 2 and node:
                 parts.append(node(x))
                 break
             right = x.right
-            if type(right) is not app:
+            if type(right) is not App:
                 stack.append(" " + name(right))
             elif len(right) > 2 and node:
                 stack.append(f" ({node(right)})")
@@ -343,19 +325,19 @@ def format_applications(t, app: type, name: Callable, node: Callable | None = No
 def format_sequent(s: Sequent) -> str:
     """Render with canonical names x1..xn."""
     names = [f"x{k}" for k in range(1, s.context_size + 1)]
-    term = format_applications(s.term, App, lambda v: names[v.index - 1])
+    term = format_applications(s.term, lambda v: names[v.index - 1])
     return f"{', '.join(names)} |- {term}"
 
 
-def format_bracketing(b: Bracketing) -> str:
-    """Render a shape: '*' for a leaf, '(lr)' for a node."""
+def format_bracketing(t) -> str:
+    """Render a term's shape: '*' for a leaf, '(lr)' for a node."""
     parts: list[str] = []
-    stack: list = [b]
+    stack: list = [t]
     while stack:
         node = stack.pop()
-        if isinstance(node, str):
+        if type(node) is str:
             parts.append(node)
-        elif isinstance(node, Node):
+        elif type(node) is App:
             stack += (")", node.right, node.left, "(")
         else:
             parts.append("*")

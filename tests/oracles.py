@@ -18,9 +18,9 @@ naive_step is the one leftmost-outermost step: repeating it
 exhaustion that comb.normalize must give.  The paper's algebra that no
 product path uses lives here too: identity, composition, sums, injections,
 copairing and wreath of finite functions, the functions generators denote,
-the club order, and a shape's length, its linear polynomial, substitution
-and every shape with n leaves.  The law tests check the package's usage,
-act, classify, contains, factor and recompose against them.
+the club order, and a term's length, the numbering of its leaves 1..m,
+substitution and every linear term with n leaves.  The law tests check the
+package's usage, act, classify, contains, factor and recompose against them.
 """
 
 from __future__ import annotations
@@ -103,15 +103,15 @@ def leq(c1: Club, c2: Club) -> bool:
     return all(map(operator.le, finord.required_properties(c2), finord.required_properties(c1)))
 
 
-def length(b: poly.Bracketing) -> int:
+def length(t) -> int:
     """Number of leaves."""
-    return sum(1 for _ in _leaves(b))
+    return sum(1 for _ in _leaves(t))
 
 
-def linear(b: poly.Bracketing) -> Sequent:
-    """The ordered linear polynomial with shape b: occurrence j is variable j."""
+def linear(t) -> Sequent:
+    """The ordered linear polynomial with the shape of t: its leaves numbered 1..m."""
     numbers = itertools.count(1)
-    term = poly._rebuild(b, lambda leaf: Var(next(numbers)))
+    term = poly._rebuild(t, lambda leaf: Var(next(numbers)))
     return Sequent(next(numbers) - 1, term)
 
 
@@ -133,12 +133,13 @@ def substitute(outer: Sequent, inners: list[Sequent]) -> Sequent:
     return Sequent(offsets[-1], poly._rebuild(outer.term, lambda v: shifted[v.index - 1]))
 
 
-def all_bracketings(n: int) -> list[poly.Bracketing]:
-    """Every application shape with n leaves (there are Catalan(n-1) of them)."""
+def all_bracketings(n: int, first: int = 1) -> list[poly.PolyTerm]:
+    """Every linear term with n leaves, numbered from first (there are
+    Catalan(n-1) of them, one per bracketing)."""
     if n == 1:
-        return [poly.LEAF]
-    return [poly.Node(left, right) for k in range(1, n)
-            for left in all_bracketings(k) for right in all_bracketings(n - k)]
+        return [Var(first)]
+    return [App(left, right) for k in range(1, n)
+            for left in all_bracketings(k, first) for right in all_bracketings(n - k, first + k)]
 
 
 def naive_injective(f: FinFun) -> bool:
@@ -489,48 +490,49 @@ def naive_parse(text: str) -> Sequent:
     return s
 
 
-def naive_compile_bracketing(b: poly.Bracketing) -> CombTerm:
-    """A closed B/I term computing the ordered linear polynomial of shape b.
+def naive_compile_bracketing(t) -> CombTerm:
+    """A closed B/I term computing the ordered linear polynomial with the shape of t.
 
     A single occurrence is I.  Otherwise the leftmost node whose children are
     both leaves covers occurrences i, i+1; contracting it to a leaf gives a
     shorter shape with witness a, and B^(i-1) B a computes the original.
     """
-    if isinstance(b, poly.Leaf):
+    if not isinstance(t, App):
         return comb.I
-    contracted, i = _contract_leftmost(b)
+    contracted, i = _contract_leftmost(t)
     inner = naive_compile_bracketing(contracted)
     return comb.apply(comb.b_power(i - 1), [comb.B, inner])
 
 
-def _contract_leftmost(b: poly.Node) -> tuple[poly.Bracketing, int]:
-    """Replace the leftmost leaf-leaf node by a leaf; i is its first leaf's index."""
+def _contract_leftmost(t: App) -> tuple[poly.PolyTerm, int]:
+    """Replace the leftmost leaf-leaf node by its left leaf; i is that leaf's
+    position."""
 
-    def rec(node: poly.Node, base: int) -> tuple[poly.Bracketing, int] | None:
+    def rec(node: App, base: int) -> tuple[poly.PolyTerm, int] | None:
         left, right = node.left, node.right
-        if isinstance(left, poly.Leaf) and isinstance(right, poly.Leaf):
-            return poly.LEAF, base + 1
-        if isinstance(left, poly.Node):
+        if not isinstance(left, App) and not isinstance(right, App):
+            return left, base + 1
+        if isinstance(left, App):
             got = rec(left, base)
             if got is not None:
-                return poly.Node(got[0], right), got[1]
-        if isinstance(right, poly.Node):
+                return App(got[0], right), got[1]
+        if isinstance(right, App):
             got = rec(right, base + length(left))
             if got is not None:
-                return poly.Node(left, got[0]), got[1]
+                return App(left, got[0]), got[1]
         return None
 
-    got = rec(b, 0)
+    got = rec(t, 0)
     assert got is not None, "every node with two or more leaves contains a leaf-leaf node"
     return got
 
 
-def _leaves(t, app=(poly.App, poly.Node)) -> Iterator:
-    """The leaves of a binary tree whose inner nodes are of type app, left to right."""
+def _leaves(t) -> Iterator:
+    """The leaves of a term, left to right."""
     stack = [t]
     while stack:
         node = stack.pop()
-        if isinstance(node, app):
+        if isinstance(node, App):
             stack.append(node.right)
             stack.append(node.left)
         else:
@@ -539,20 +541,21 @@ def _leaves(t, app=(poly.App, poly.Node)) -> Iterator:
 
 def prim_leaves(t: CombTerm) -> int:
     """The number of primitive occurrences in t."""
-    return sum(isinstance(leaf, Prim) for leaf in _leaves(t, App))
+    return sum(isinstance(leaf, Prim) for leaf in _leaves(t))
 
 
-def ladder_shape(kind: str, n: int, rng: random.Random) -> poly.Bracketing:
-    """A left comb, right comb or random shape with n leaves (random splits)."""
+def ladder_shape(kind: str, n: int, rng: random.Random) -> poly.PolyTerm:
+    """A left comb, right comb or random shape (random splits) with n leaves,
+    as a term of Var(1) leaves: linear numbers them."""
     if kind == "random":
         if n == 1:
-            return poly.LEAF
+            return Var(1)
         k = rng.randint(1, n - 1)
-        return poly.Node(ladder_shape(kind, k, rng), ladder_shape(kind, n - k, rng))
-    b: poly.Bracketing = poly.LEAF
+        return App(ladder_shape(kind, k, rng), ladder_shape(kind, n - k, rng))
+    t: poly.PolyTerm = Var(1)
     for _ in range(n - 1):
-        b = poly.Node(b, poly.LEAF) if kind == "left" else poly.Node(poly.LEAF, b)
-    return b
+        t = App(t, Var(1)) if kind == "left" else App(Var(1), t)
+    return t
 
 
 def ladder_usage(kind: str, n: int, rng: random.Random) -> FinFun:
@@ -566,24 +569,24 @@ def ladder_usage(kind: str, n: int, rng: random.Random) -> FinFun:
 
 
 def naive_free_symbols(t: CombTerm) -> frozenset[str]:
-    return frozenset(leaf.name for leaf in _leaves(t, App) if isinstance(leaf, FreeSym))
+    return frozenset(leaf.name for leaf in _leaves(t) if isinstance(leaf, FreeSym))
 
 
 def naive_primitives(t: CombTerm) -> frozenset[str]:
-    return frozenset(leaf.name for leaf in _leaves(t, App) if isinstance(leaf, Prim))
+    return frozenset(leaf.name for leaf in _leaves(t) if isinstance(leaf, Prim))
 
 
-def naive_format_applications(t, app: type, name: Callable) -> str:
+def naive_format_applications(t, name: Callable) -> str:
     """Juxtaposition with minimal parentheses: only an argument that is itself
-    an application (an instance of app) is parenthesized; name renders a leaf."""
+    an application is parenthesized; name renders a leaf."""
     parts: list[str] = []
     stack: list = [t]  # terms to render and literal text, next on top
     while stack:
         node = stack.pop()
         if isinstance(node, str):
             parts.append(node)
-        elif isinstance(node, app):
-            if isinstance(node.right, app):
+        elif isinstance(node, App):
+            if isinstance(node.right, App):
                 stack += (")", node.right, "(", " ", node.left)
             else:
                 stack += (node.right, " ", node.left)
@@ -593,11 +596,11 @@ def naive_format_applications(t, app: type, name: Callable) -> str:
 
 
 def naive_format_comb(t: CombTerm) -> str:
-    return naive_format_applications(t, App, lambda leaf: leaf.name)
+    return naive_format_applications(t, lambda leaf: leaf.name)
 
 
 def naive_format_sequent(s: Sequent) -> str:
     """Render with canonical names x1..xn."""
     names = [f"x{k}" for k in range(1, s.context_size + 1)]
-    term = naive_format_applications(s.term, poly.App, lambda v: names[v.index - 1])
+    term = naive_format_applications(s.term, lambda v: names[v.index - 1])
     return f"{', '.join(names)} |- {term}"

@@ -23,6 +23,7 @@ from clubcomb.comb import (
     Prim,
     ReductionStatus,
     W,
+    _Slot,
     apply,
     b_power,
     format_comb,
@@ -31,6 +32,7 @@ from clubcomb.comb import (
     verify,
 )
 from clubcomb.errors import FuelExhausted, ParseError
+from clubcomb.finord import Record
 import oracles
 from oracles import naive_normalize
 
@@ -504,7 +506,7 @@ def test_free_symbols_and_primitives():
 ))
 def test_leaf_walks_match_the_isinstance_reference(t):
     assert format_comb(t) == oracles.naive_format_comb(t)
-    assert list(poly._leaves(t)) == list(oracles._leaves(t, App))
+    assert list(poly._leaves(t)) == list(oracles._leaves(t))
 
 
 def deep_chain(n, head, bottom):
@@ -530,10 +532,16 @@ def test_deep_terms_have_value_semantics():
 
 
 def test_comb_and_poly_applications_never_compare_equal():
-    assert App(B, I) != poly.App(B, I)
-    assert poly.App(B, I) != App(B, I)
-    assert App(x, App(y, z)) != App(x, poly.App(y, z))
-    assert deep_chain(10**4, x, y) != deep_chain(10**4, x, poly.App(y, y))
+    # one application node serves both languages; a combinator term never
+    # equals a polynomial because their leaves differ
+    assert App is poly.App
+    v1, v2 = poly.Var(1), poly.Var(2)
+    term = poly.parse("x1, x2 |- x1 (x1 x2)").term
+    for a, b in [(App(B, I), App(v1, v2)), (App(x, App(y, z)), App(x, App(v1, v2))),
+                 (App(FreeSym("x1"), App(FreeSym("x1"), FreeSym("x2"))), term),
+                 (App(_Slot("v1"), App(_Slot("v1"), _Slot("v2"))), term),
+                 (deep_chain(10**4, x, y), deep_chain(10**4, x, v1))]:
+        assert a != b and b != a and not a == b and not b == a
 
 
 def test_applications_are_immutable_values():
@@ -625,10 +633,19 @@ def test_b_power_builds_what_nested_applications_build():
                 assert a is b
 
 
+class Pair(Record):
+    """Another two-item record class, the same items as an App node."""
+
+    __slots__ = ()
+
+    def __new__(cls, left, right):
+        return tuple.__new__(cls, (left, right))
+
+
 def test_terms_are_values_apart_from_tuples_and_other_node_classes():
     power, fresh = b_power(3), fresh_power(3)
     t = App(K, x)
-    others = [(B, I), tuple(power), poly.App(B, I), poly.Node(B, I), poly.App(K, x)]
+    others = [(B, I), tuple(power), Pair(B, I), Pair(K, x), App(poly.Var(1), poly.Var(2))]
     for a in (App(B, I), power, fresh, t):
         for b in others:
             assert not a == b and not b == a and a != b and b != a
@@ -640,7 +657,7 @@ def test_terms_are_values_apart_from_tuples_and_other_node_classes():
     bare = tuple.__new__(App, (App(B, B), B))
     assert len(bare) == 2 and bare == b_power(2) and hash(bare) == hash(b_power(2))
     for a, b in [(t, t), (power, fresh), (t, (K, x)), ((K, x), t), (t, 1), (power, tuple(power)),
-                 (poly.App(B, I), App(B, I)), (poly.Node(B, I), (B, I))]:
+                 (Pair(B, I), App(B, I)), (Pair(B, I), (B, I))]:
         for order in (operator.lt, operator.le, operator.gt, operator.ge):
             with pytest.raises(TypeError):
                 order(a, b)

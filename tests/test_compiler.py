@@ -22,24 +22,24 @@ from clubcomb.errors import (
     VerificationFailed,
 )
 from clubcomb.finord import Club, FinFun
-from clubcomb.poly import LEAF, Node
+from clubcomb.poly import Var
 import oracles
 
 
 def test_compile_bracketing_single_leaf():
-    assert compile_bracketing(LEAF) == I
+    assert compile_bracketing(Var(1)) == I
 
 
 def test_compile_bracketing_pair():
     # witness I B I: reduces on two arguments in 3 steps
-    w = compile_bracketing(Node(LEAF, LEAF))
+    w = compile_bracketing(App(Var(1), Var(2)))
     assert w == App(App(I, B), I)
-    ok, _ = comb.verify(w, oracles.linear(Node(LEAF, LEAF)))
+    ok, _ = comb.verify(w, oracles.linear(App(Var(1), Var(2))))
     assert ok
 
 
 def test_compile_bracketing_right_nested():
-    w = compile_bracketing(Node(LEAF, Node(LEAF, LEAF)))
+    w = compile_bracketing(App(Var(1), App(Var(2), Var(3))))
     assert w == App(App(B, B), App(App(I, B), I))
 
 
@@ -53,7 +53,7 @@ def test_compile_bracketing_all_shapes_verify_over_b_and_i():
 
 
 def test_compile_bracketing_deterministic():
-    shape = Node(Node(LEAF, LEAF), Node(LEAF, LEAF))
+    shape = App(App(Var(1), Var(2)), App(Var(3), Var(4)))
     assert compile_bracketing(shape) == compile_bracketing(shape)
 
 
@@ -63,7 +63,7 @@ def test_compile_bracketing_matches_the_contraction_reference_on_all_small_shape
             assert compile_bracketing(shape) == oracles.naive_compile_bracketing(shape)
 
 
-@given(st.recursive(st.just(LEAF), lambda c: st.tuples(c, c).map(lambda lr: Node(*lr)),
+@given(st.recursive(st.just(Var(1)), lambda c: st.tuples(c, c).map(lambda lr: App(*lr)),
                     max_leaves=60))
 def test_compile_bracketing_matches_the_contraction_reference(shape):
     assert compile_bracketing(shape) == oracles.naive_compile_bracketing(shape)
@@ -73,7 +73,7 @@ def test_lift_transposition_structure_and_behavior():
     a = FreeSym("a")
     assert lift(a, finord.transposition(2, 1)) == App(App(I, C), a)
     assert lift(B, finord.transposition(3, 2)) == App(App(B, C), B)
-    w = lift(compile_bracketing(Node(LEAF, LEAF)), finord.transposition(2, 1))
+    w = lift(compile_bracketing(App(Var(1), Var(2))), finord.transposition(2, 1))
     ok, _ = comb.verify(w, poly.parse("x1,x2 |- x2 x1"))
     assert ok
 

@@ -212,7 +212,7 @@ def test_generators_are_values_apart_from_tuples_and_terms():
     assert len({g, same, transposition(3, 2), degeneracy(2, 1), degeneracy(2, 1)}) == 3
     # never equal to a plain tuple, a term node, or anything else
     others = [(GenKind.TRANSPOSITION, 3, 1), tuple(g), [GenKind.TRANSPOSITION, 3, 1],
-              poly.App(poly.Var(3), poly.Var(1)), poly.Node(poly.LEAF, poly.LEAF),
+              poly.App(poly.Var(3), poly.Var(1)), comb.b_power(3),
               comb.b_power(2), comb.App(comb.B, comb.I), 1, None, "t(3,1)"]
     for other in others:
         assert not g == other and not other == g and g != other and other != g

@@ -16,8 +16,6 @@ from clubcomb.errors import (
 from clubcomb.finord import Club, FinFun
 from clubcomb.poly import (
     App,
-    LEAF,
-    Node,
     Sequent,
     Var,
     act,
@@ -116,42 +114,45 @@ def test_format_applications_walks_every_node_without_a_node_hook():
     # comb.b_power stores B^k's power as a third item; without a hook for such
     # nodes the walk goes through their left and right like any other
     t = comb.App(comb.App(comb.b_power(4), comb.C), comb.b_power(2))
-    text = format_applications(t, comb.App, lambda leaf: leaf.name)
+    text = format_applications(t, lambda leaf: leaf.name)
     assert text == oracles.naive_format_comb(t) == "B B (B B (B B B)) C (B B B)"
 
 
 def test_deep_terms_shapes_and_sequents_have_value_semantics():
     n = 10**4
 
-    def left_comb(node, first, rest):
+    def left_comb(first, rest):
         t = first
-        for _ in range(n):
-            t = node(t, rest)
+        for leaf in rest:
+            t = App(t, leaf)
         return t
 
-    term = left_comb(App, Var(1), Var(2))
-    assert term == left_comb(App, Var(1), Var(2))
-    assert hash(term) == hash(left_comb(App, Var(1), Var(2)))
-    assert term != left_comb(App, Var(2), Var(2))  # differs at the deepest leaf only
-    assert seq(2, term) == seq(2, left_comb(App, Var(1), Var(2)))
-    assert hash(seq(2, term)) == hash(seq(2, left_comb(App, Var(1), Var(2))))
-    assert seq(2, term) != seq(2, left_comb(App, Var(2), Var(2)))
-    shape = left_comb(Node, LEAF, LEAF)
-    assert shape == left_comb(Node, LEAF, LEAF)
-    assert hash(shape) == hash(left_comb(Node, LEAF, LEAF))
-    assert shape != left_comb(Node, Node(LEAF, LEAF), LEAF)
-    assert shape == usage(seq(2, term)).skeleton
-    assert shape != left_comb(App, LEAF, LEAF)  # same shape, another node class
+    term = left_comb(Var(1), [Var(2)] * n)
+    assert term == left_comb(Var(1), [Var(2)] * n)
+    assert hash(term) == hash(left_comb(Var(1), [Var(2)] * n))
+    assert term != left_comb(Var(2), [Var(2)] * n)  # differs at the deepest leaf only
+    assert seq(2, term) == seq(2, left_comb(Var(1), [Var(2)] * n))
+    assert hash(seq(2, term)) == hash(seq(2, left_comb(Var(1), [Var(2)] * n)))
+    assert seq(2, term) != seq(2, left_comb(Var(2), [Var(2)] * n))
+    # the skeleton is the linear term of the same shape, occurrence j is Var j
+    skeleton = left_comb(Var(1), [Var(j) for j in range(2, n + 2)])
+    assert usage(seq(2, term)).skeleton == skeleton
+    assert hash(usage(seq(2, term)).skeleton) == hash(skeleton)
+    assert skeleton != term  # same shape, other leaves
+    # the same leaves, another bracketing at the deepest node only
+    rebracketed = left_comb(App(Var(1), App(Var(2), Var(3))), [Var(j) for j in range(4, n + 2)])
+    assert skeleton != rebracketed
     with pytest.raises(FrozenInstanceError):
         term.left = Var(1)
     with pytest.raises(FrozenInstanceError):
-        shape.left = LEAF
-    assert repr(Node(LEAF, LEAF)) == "Node(left=Leaf(), right=Leaf())"
+        skeleton.left = Var(1)
+    assert repr(App(Var(1), Var(2))) == "App(left=Var(index=1), right=Var(index=2))"
 
 
 def test_usage_examples():
     dec = usage(parse("x1,x2 |- x1 x2 x2"))
     assert dec.usage == FinFun(3, 2, (1, 2, 2))
+    assert dec.skeleton == App(App(Var(1), Var(2)), Var(3))
     assert format_bracketing(dec.skeleton) == "((**)*)"
 
     dec = usage(parse("x1,x2 |- x2 x1"))
@@ -164,18 +165,39 @@ def test_usage_examples():
 
     dec = usage(parse("x1,x2 |- x1"))
     assert dec.usage == FinFun(1, 2, (1,))
+    assert dec.skeleton == Var(1)
+
+    dec = usage(parse_with_constants("x |- f (f x)")[0])
+    assert dec.usage == FinFun(3, 3, (1, 2, 3))
+    assert dec.skeleton == App(Var(1), App(Var(2), Var(3)))
 
 
 def test_linear_is_ordered():
-    b = Node(Node(LEAF, LEAF), LEAF)
-    assert linear(b) == seq(3, App(App(Var(1), Var(2)), Var(3)))
-    assert linear(LEAF) == seq(1, Var(1))
+    t = App(App(Var(2), Var(2)), Var(1))
+    assert linear(t) == seq(3, App(App(Var(1), Var(2)), Var(3)))
+    assert linear(Var(2)) == seq(1, Var(1))
+
+
+def assert_usage_factors(s):
+    """The skeleton is linear, and the usage acting on it gives s back."""
+    dec = usage(s)
+    m = dec.usage.dom
+    assert list(oracles._leaves(dec.skeleton)) == [Var(j) for j in range(1, m + 1)]
+    assert act(Sequent(m, dec.skeleton), dec.usage) == s
 
 
 @given(sequents())
 def test_usage_act_roundtrip(s):
-    dec = usage(s)
-    assert act(linear(dec.skeleton), dec.usage) == s
+    assert_usage_factors(s)
+
+
+@given(sequents(max_context=3))
+def test_usage_factors_sequents_parsed_with_constants(s):
+    context, term = format_sequent(s).split(" |- ")
+    text = f"{context.partition(', ')[2]} |- {term} c x1"  # x1 and c become constants
+    parsed, constants = parse_with_constants(text)
+    assert constants[-2:] == ("c", "x1")
+    assert_usage_factors(parsed)
 
 
 def test_act_example():
@@ -273,8 +295,8 @@ def test_minimal_club_of_examples():
 
 
 def test_bracketing_length():
-    assert length(LEAF) == 1
-    assert length(Node(LEAF, Node(LEAF, LEAF))) == 3
+    assert length(Var(1)) == 1
+    assert length(App(Var(1), App(Var(2), Var(2)))) == 3
 
 
 def test_all_bracketings_catalan_counts():
@@ -282,12 +304,13 @@ def test_all_bracketings_catalan_counts():
         shapes = all_bracketings(n)
         assert len(shapes) == count
         assert len(set(map(format_bracketing, shapes))) == count
-        assert all(length(b) == n for b in shapes)
+        assert all(linear(b) == Sequent(n, b) for b in shapes)
 
 
 def test_format_bracketing():
-    assert format_bracketing(LEAF) == "*"
-    assert format_bracketing(Node(LEAF, Node(LEAF, LEAF))) == "(*(**))"
+    assert format_bracketing(Var(1)) == "*"
+    assert format_bracketing(App(Var(1), App(Var(2), Var(3)))) == "(*(**))"
+    assert format_bracketing(comb.App(comb.B, comb.App(comb.K, comb.I))) == "(*(**))"
 
 
 def test_parse_with_constants_basic():
