@@ -3,8 +3,8 @@
 Each invocation is stateless: one command, one input string, flags, and a
 deterministic rendering on stdout (errors go to stderr, or into the JSON
 object when --json is given).  Exit codes: 0 success, 1 usage or syntax
-problems, 2 club violations, 3 fuel exhaustion, 4 internal invariant
-failures, 141 stdout closed by its reader.
+problems or no stdout at all, 2 club violations, 3 fuel exhaustion, 4
+internal invariant failures, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -251,6 +251,9 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    if sys.stdout is None:  # started with fd 1 closed: nowhere to write a result
+        print("error: stdout is closed", file=sys.stderr)
+        return EXIT_USAGE
     try:
         code = _run(sys.argv[1:] if argv is None else argv)
         sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit

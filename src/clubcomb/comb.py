@@ -215,7 +215,7 @@ def verify(
 
 
 _name = attrgetter("name")
-_TOKEN_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|[()])")
+_TOKEN_RE = re.compile(rf"\s*({poly._IDENT_RE.pattern}|[()])")
 
 
 def parse_comb(text: str) -> CombTerm:
@@ -236,9 +236,9 @@ def format_comb(t: CombTerm) -> str:
     t holds a free symbol named B, C, K, W or I, which prints as that letter
     and so reads back as the primitive (compile refuses such constants).
 
-    A node that stores its power k (see b_power), met as a spine head or as
-    an argument, is printed in one piece, B B (B B (... (B B B))): the text
-    the node-by-node walk gives it.
+    A node that stores its power k (see b_power) is printed in one piece
+    where it heads a spine, as an argument does once its parentheses open:
+    B B (B B (... (B B B))), the text the node-by-node walk gives it.
     """
     return poly.format_applications(t, _name, _power_text)
 

@@ -14,18 +14,12 @@ what determines the combinator basis needed to compile the sequent.
 
 from __future__ import annotations
 
-import itertools
 import re
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
-from .errors import (
-    ArityMismatch,
-    DuplicateContextVariable,
-    ParseError,
-    UndeclaredVariable,
-)
+from .errors import ArityMismatch, DuplicateContextVariable, ParseError, UndeclaredVariable
 from .finord import FinFun, Record
 
 _Pair = namedtuple("_Pair", "left right")  # only its item getters are used
@@ -40,8 +34,8 @@ class App(Record):
     items after those two (comb.b_power stores a power of B there), which a
     copy or unpickling drops.  ==, hash and repr see left and right only and
     walk an explicit stack, so terms of any depth compare, hash and print
-    without recursion.  Two terms are equal when they have the same shape
-    and equal leaves, so the languages stay apart through their leaves.
+    without recursion.  Two terms are equal, and hash alike, when they have
+    the same shape and equal leaves, so the languages stay apart by leaves.
     """
 
     __slots__ = ()
@@ -69,27 +63,10 @@ class App(Record):
         return True
 
     def __hash__(self):
-        return _rebuild(self, hash, _hash_pair)
+        return hash((format_bracketing(self), *_leaves(self)))
 
     def __repr__(self):
-        parts: list[str] = []
-        stack: list = [self]  # nodes to render and finished text, next on top
-        while stack:
-            x = stack.pop()
-            if type(x) is str:
-                parts.append(x)
-            else:
-                stack += (")", _repr_child(x.right), ", right=", _repr_child(x.left),
-                          f"{type(x).__qualname__}(left=")
-        return "".join(parts)
-
-
-def _hash_pair(left: int, right: int) -> int:
-    return hash((left, right))
-
-
-def _repr_child(x):
-    return x if type(x) is App else repr(x)
+        return _render(self, repr, "App(left=", ", right=", ")")
 
 
 @dataclass(frozen=True)
@@ -138,8 +115,8 @@ def _leaves(t) -> Iterator:
             yield node
 
 
-def _rebuild(t, leaf: Callable, node: Callable = App):
-    """t with each leaf x replaced by leaf(x) and each inner node by node(left, right).
+def _rebuild(t, leaf: Callable):
+    """t with each leaf x replaced by leaf(x), the shape unchanged.
 
     Post-order on an explicit stack, so leaf sees the leaves left to right.
     """
@@ -149,7 +126,7 @@ def _rebuild(t, leaf: Callable, node: Callable = App):
         x = stack.pop()
         if x is None:
             right = done.pop()
-            done.append(node(done.pop(), right))
+            done.append(App(done.pop(), right))
         elif type(x) is App:
             stack += (None, x.right, x.left)
         else:
@@ -180,8 +157,8 @@ def act(s: Sequent, a: FinFun) -> Sequent:
     return Sequent(a.cod, _rebuild(s.term, lambda v: Var(a(v.index))))
 
 
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_TOKEN_RE = re.compile(r"\s*(\|-|[A-Za-z][A-Za-z0-9_]*|[(),])")
+_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")  # the identifiers of both languages
+_TOKEN_RE = re.compile(rf"\s*(\|-|{_IDENT_RE.pattern}|[(),])")
 
 
 def tokenize(text: str, token_re: re.Pattern) -> list[str]:
@@ -238,10 +215,8 @@ def parse_with_constants(text: str) -> tuple[Sequent, tuple[str, ...]]:
     left-to-right occurrence order, so the declared variables shift up by the
     number of constant occurrences.  Returns the extended sequent and the
     constant names in slot order (one entry per occurrence, repeats allowed).
-
-    The term is parsed straight into its usage split: occurrence j becomes
-    Var j of a linear skeleton, and the table sending each occurrence to its
-    slot then acts on that skeleton.
+    One scan of the term's tokens counts the constant occurrences first, so
+    the term is built once, with its final variables.
     """
     tokens = tokenize(text, _TOKEN_RE)
     if tokens.count("|-") != 1:
@@ -265,19 +240,17 @@ def parse_with_constants(text: str) -> tuple[Sequent, tuple[str, ...]]:
     if ctx_tokens and expect_name:
         raise ParseError("trailing ',' in context")
 
-    occurrences: list[str] = []
+    k = sum(tok not in names and tok not in "()," for tok in term_tokens)  # identifiers
+    constants: list[str] = []
 
     def atom(name: str) -> Var:
-        occurrences.append(name)
-        return Var(len(occurrences))
+        if name in names:
+            return Var(k + names[name])
+        constants.append(name)
+        return Var(len(constants))
 
-    skeleton = parse_applications(term_tokens, atom)
-    constants = tuple(name for name in occurrences if name not in names)
-    k = len(constants)
-    slots = itertools.count(1)
-    table = tuple(k + names[name] if name in names else next(slots) for name in occurrences)
-    m = len(occurrences)
-    return act(Sequent(m, skeleton), FinFun(m, k + len(names), table)), constants
+    term = parse_applications(term_tokens, atom)
+    return Sequent(k + len(names), term), tuple(constants)
 
 
 def parse(text: str) -> Sequent:
@@ -293,10 +266,10 @@ def format_applications(t, name: Callable, node: Callable | None = None) -> str:
     an application is parenthesized; name renders a leaf.
 
     node renders in one piece an application that stores items beyond left
-    and right (comb.b_power stores a power of B there), wherever the walk
-    meets one: as the head of a spine or as an argument, which it
-    parenthesizes.  Without node, every application is walked through its
-    left and right.
+    and right (comb.b_power stores a power of B there) when the walk meets
+    one as the head of a spine; an argument is met as the head of its own
+    spine once its parentheses open.  Without node, every application is
+    walked through its left and right.
     """
     parts: list[str] = []
     stack: list = [t]  # terms to render and finished text, next on top
@@ -310,12 +283,10 @@ def format_applications(t, name: Callable, node: Callable | None = None) -> str:
                 parts.append(node(x))
                 break
             right = x.right
-            if type(right) is not App:
-                stack.append(" " + name(right))
-            elif len(right) > 2 and node:
-                stack.append(f" ({node(right)})")
-            else:
+            if type(right) is App:
                 stack += (")", right, " (")
+            else:
+                stack.append(" " + name(right))
             x = x.left
         else:
             parts.append(name(x))
@@ -331,14 +302,20 @@ def format_sequent(s: Sequent) -> str:
 
 def format_bracketing(t) -> str:
     """Render a term's shape: '*' for a leaf, '(lr)' for a node."""
+    return _render(t, lambda leaf: "*", "(", "", ")")
+
+
+def _render(t, leaf: Callable, open: str, sep: str, close: str) -> str:
+    """The text of t: open, left, sep, right, close for a node and leaf(x) for a
+    leaf x, rendered as it is pushed, so a str leaf is never taken for text."""
     parts: list[str] = []
-    stack: list = [t]
+    stack: list = [t if type(t) is App else leaf(t)]  # nodes and finished text, next on top
     while stack:
-        node = stack.pop()
-        if type(node) is str:
-            parts.append(node)
-        elif type(node) is App:
-            stack += (")", node.right, node.left, "(")
+        x = stack.pop()
+        if type(x) is str:
+            parts.append(x)
         else:
-            parts.append("*")
+            left, right = x.left, x.right
+            stack += (close, right if type(right) is App else leaf(right), sep,
+                      left if type(left) is App else leaf(left), open)
     return "".join(parts)

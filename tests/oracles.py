@@ -4,8 +4,9 @@ Everything here recomputes results by a different route than the package:
 pointwise evaluation instead of table algebra, pairwise scans instead of set
 tricks, breadth-first closure instead of predicate tests, a rewrite of the
 whole term per reduction step instead of a spine-stack machine, a recursive
-parser through a named syntax tree instead of one stack parse straight into
-the usage split, repeated leftmost contraction instead of one pass over
+parser through a named syntax tree instead of one stack parse that counts
+the constants first, recursion instead of one explicit-stack renderer for
+repr and shapes, repeated leftmost contraction instead of one pass over
 the shape, isinstance tests over a generic leaf walk instead of exact
 type dispatch, a walk down each B B spine instead of the power b_power
 stores in each node it builds, full bubble passes instead of passes that
@@ -593,6 +594,21 @@ def naive_format_applications(t, name: Callable) -> str:
         else:
             parts.append(name(node))
     return "".join(parts)
+
+
+def naive_repr(t) -> str:
+    """repr of a term, recursively: each node as App(left=..., right=...),
+    each leaf as its own repr."""
+    if isinstance(t, App):
+        return f"App(left={naive_repr(t.left)}, right={naive_repr(t.right)})"
+    return repr(t)
+
+
+def naive_format_bracketing(t) -> str:
+    """A term's shape, recursively: '*' for a leaf, '(lr)' for a node."""
+    if isinstance(t, App):
+        return f"({naive_format_bracketing(t.left)}{naive_format_bracketing(t.right)})"
+    return "*"
 
 
 def naive_format_comb(t: CombTerm) -> str:

@@ -233,6 +233,15 @@ def test_closed_stdout_leaves_no_descriptor_open(monkeypatch):
     assert len(os.listdir("/proc/self/fd")) == before
 
 
+@pytest.mark.skipif(os.name != "posix", reason="closes the child's fd 1 with preexec_fn")
+@pytest.mark.parametrize("argv", [["eval", "I a"], ["compile", "--json", "x |- y"]])
+def test_started_without_stdout_refuses_in_one_line(argv):
+    r = run_cli(argv, preexec_fn=lambda: os.close(1))
+    assert r.returncode == cli.EXIT_USAGE
+    assert r.stderr == b"error: stdout is closed\n"
+    assert b"Traceback" not in r.stderr
+
+
 # Makes finord.recompose judge every chain as if it were a wrong one, then
 # runs the CLI with assertions stripped (-O): the check inside factor must
 # still refuse the chain.

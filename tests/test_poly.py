@@ -1,5 +1,7 @@
 """Polynomial terms: parsing, action, substitution, usage analysis."""
 
+import copy
+import pickle
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -311,6 +313,54 @@ def test_format_bracketing():
     assert format_bracketing(Var(1)) == "*"
     assert format_bracketing(App(Var(1), App(Var(2), Var(3)))) == "(*(**))"
     assert format_bracketing(comb.App(comb.B, comb.App(comb.K, comb.I))) == "(*(**))"
+
+
+def _pairs(child):
+    return st.tuples(child, child).map(lambda lr: App(*lr))
+
+
+# Terms of both languages, and of str leaves that look like repr's own text;
+# the combinator leaves include recorded powers of B (nodes of three items).
+_WALKED_TERMS = st.one_of(
+    st.recursive(st.integers(1, 4).map(Var), _pairs, max_leaves=12),
+    st.recursive(st.sampled_from([comb.B, comb.K, comb.FreeSym("f"), comb.FreeSym("B")]
+                                 + [comb.b_power(k) for k in (2, 3, 5)]), _pairs, max_leaves=12),
+    st.recursive(st.sampled_from(["x", "(", ")", ", right="]), _pairs, max_leaves=8),
+)
+_REPR_NAMES = {"App": App, "Var": Var, "Prim": comb.Prim, "FreeSym": comb.FreeSym}
+
+
+def _assert_same_value(t, *others):
+    for other in others:
+        assert t == other and other == t
+        assert hash(t) == hash(other)
+
+
+@given(_WALKED_TERMS)
+def test_repr_and_shape_match_the_recursive_references(t):
+    assert repr(t) == oracles.naive_repr(t)
+    assert format_bracketing(t) == oracles.naive_format_bracketing(t)
+    plain = eval(repr(t), dict(_REPR_NAMES))  # pairs only: no stored power
+    _assert_same_value(t, plain, copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t)))
+    assert repr(plain) == repr(t)
+
+
+def test_repr_and_shape_of_a_deep_chain():
+    n = 10**4
+    power = comb.b_power(2)  # stores its power; B B B as a plain pair below
+    plain_power = App(App(comb.Prim("B"), comb.Prim("B")), comb.Prim("B"))
+    t, plain = comb.FreeSym("x"), comb.FreeSym("x")
+    for _ in range(n):
+        t, plain = App(power, t), App(plain_power, plain)
+    head = "App(left=App(left=App(left=Prim(name='B'), right=Prim(name='B')), right=Prim(name='B')), right="
+    assert repr(t) == repr(plain) == head * n + "FreeSym(name='x')" + ")" * n
+    assert format_bracketing(t) == "(((**)*)" * n + "*" + ")" * n
+    _assert_same_value(t, plain, copy.copy(t))
+    left_deep = Var(1)
+    for _ in range(n):
+        left_deep = App(left_deep, Var(2))
+    assert repr(left_deep) == "App(left=" * n + "Var(index=1)" + ", right=Var(index=2))" * n
+    assert format_bracketing(left_deep) == "(" * n + "*" + "*)" * n
 
 
 def test_parse_with_constants_basic():
