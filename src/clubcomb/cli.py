@@ -21,7 +21,6 @@ from .errors import (
     ArityZero,
     ClubCombError,
     ClubViolation,
-    FuelExhausted,
     ParseError,
 )
 from .finord import Club, FinFun
@@ -204,16 +203,27 @@ def _cmd_analyze(ns) -> int:
 
 
 def _cmd_compile(ns) -> int:
+    """Print the verified closed witness w, or with --constants w c1 .. ck:
+    the constants fill the leading slots, so its reduction is w's verified
+    one with those slots' symbols renamed, in the same steps."""
     club = Club(ns.club) if ns.club else None
     s, constants = _parse_input(ns)
-    r = compiler.compile(s, club=club, constants=constants)
+    if len(constants) == s.context_size:  # nothing would be left to apply the term to
+        raise ArityZero("the term contains constants only; no variables remain")
+    for name in constants:
+        if name in comb.PRIM_NAMES:
+            raise ParseError(f"constant {name} would print as the primitive {name}; rename it")
+    r = compiler.compile(s, club=club)
     _emit(ns, usage=r.usage, skeleton=r.skeleton, minimal_club=r.minimal_club,
-          club_used=r.club_used, generators=r.generator_chain, term=r.output,
+          club_used=r.club_used, generators=r.generator_chain,
+          term=comb.apply(r.output, [comb.FreeSym(name) for name in constants]),
           verified=r.verified, steps=r.steps)
     return EXIT_OK
 
 
 def _cmd_eval(ns) -> int:
+    if ns.fuel < 1:
+        return _fail(ns, EXIT_USAGE, "fuel must be at least 1")
     result = comb.normalize(comb.parse_comb(ns.input), ns.fuel)
     exhausted = result.status is comb.ReductionStatus.FUEL_EXHAUSTED
     _emit(ns, term=result.term, steps=result.steps, error="FuelExhausted" if exhausted else None)
@@ -272,8 +282,6 @@ def _run(argv: list[str]) -> int:
         ns = _parse(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_OK
-    if getattr(ns, "fuel", 1) < 1:
-        return _fail(ns, EXIT_USAGE, "fuel must be at least 1")
     try:
         return _COMMANDS[ns.command][0](ns)
     except BrokenPipeError:  # the reader left, nothing failed: main answers it
@@ -282,8 +290,6 @@ def _run(argv: list[str]) -> int:
         return _fail(ns, EXIT_USAGE, str(e))
     except ClubViolation as e:
         return _fail(ns, EXIT_CLUB, str(e), minimal=e.minimal)
-    except FuelExhausted as e:
-        return _fail(ns, EXIT_FUEL, str(e))
     except ClubCombError as e:
         return _fail(ns, EXIT_INTERNAL, f"internal error: {e}")
     except MemoryError:

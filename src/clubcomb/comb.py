@@ -190,27 +190,20 @@ class _Slot(FreeSym):
     classes, so no FreeSym a candidate contains ever equals one."""
 
 
-def verify(
-    candidate: CombTerm,
-    s: poly.Sequent,
-    fuel: int = DEFAULT_FUEL,
-    constants: tuple[str, ...] = (),
-) -> tuple[bool, int]:
-    """Does candidate compute the polynomial s?  Returns (verdict, steps).
+def verify(candidate: CombTerm, s: poly.Sequent, fuel: int = DEFAULT_FUEL) -> tuple[bool, int]:
+    """Does the closed term candidate compute the polynomial s?  Returns
+    (verdict, steps).
 
-    The first len(constants) slots of s stand for the named constant symbols,
-    which candidate already contains; it is applied to private symbols for
-    the remaining slots, and its normal form must equal (==) s's term with
-    every Var i replaced by the i-th of constants and symbols.  Raises
-    FuelExhausted rather than returning a verdict when the budget runs out,
-    so a timeout is never mistaken for a disproof.
+    candidate is applied to one private symbol per context slot of s, and
+    its normal form must equal (==) s's term with every Var i replaced by
+    the i-th symbol.  Raises FuelExhausted rather than returning a verdict
+    when the budget runs out, so a timeout is never mistaken for a disproof.
     """
-    syms = [_Slot(f"v{k}") for k in range(1, s.context_size - len(constants) + 1)]
-    slots = [FreeSym(name) for name in constants] + syms
+    syms = [_Slot(f"v{k}") for k in range(1, s.context_size + 1)]
     result = normalize(apply(candidate, syms), fuel)
     if result.status is ReductionStatus.FUEL_EXHAUSTED:
         raise FuelExhausted(f"no normal form within {result.steps} steps", steps=result.steps)
-    expected = poly._rebuild(s.term, lambda v: slots[v.index - 1])
+    expected = poly._rebuild(s.term, lambda v: syms[v.index - 1])
     return result.term == expected, result.steps
 
 
@@ -234,7 +227,8 @@ def parse_comb(text: str) -> CombTerm:
 def format_comb(t: CombTerm) -> str:
     """Minimal-parenthesis rendering; parse_comb(format_comb(t)) == t unless
     t holds a free symbol named B, C, K, W or I, which prints as that letter
-    and so reads back as the primitive (compile refuses such constants).
+    and so reads back as the primitive (`compile --constants` refuses such a
+    constant before it applies the witness to it).
 
     A node that stores its power k (see b_power) is printed in one piece
     where it heads a spine, as an argument does once its parentheses open:

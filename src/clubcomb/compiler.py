@@ -20,11 +20,11 @@ chain in application order rebuilds exactly the usage function.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import comb, finord, poly
-from .comb import App, CombTerm, FreeSym
-from .errors import ArityMismatch, ArityZero, FuelExhausted, ParseError, VerificationFailed
+from .comb import App, CombTerm
+from .errors import ArityZero, FuelExhausted, VerificationFailed
 from .finord import Club, FinFun, Generator
 
 
@@ -91,11 +91,12 @@ class CompileReport:
     skeleton and usage are the input's usage decomposition, minimal_club is
     the smallest club containing usage, and club_used the club it was
     factored in (minimal_club unless one was requested).  output is the
-    closed witness applied to the constant symbols, which constants lists in
-    slot order (empty outside constants mode).  compile checks every output
-    by reduction and returns no witness that failed, so verified is always
-    True; it stays because the JSON schema and the benchmarks read it.
-    steps is the step count of that check, the witness's primitive count.
+    closed witness: applied to one symbol per context slot of input, it
+    reduces to input's term, so comb.verify(output, input) is (True, steps).
+    compile checks every output by that reduction and returns no witness
+    that failed, so verified is always True; it stays because the JSON
+    schema and the benchmarks read it.  steps is the step count of that
+    check, the witness's primitive count.
     """
 
     input: poly.Sequent
@@ -107,31 +108,19 @@ class CompileReport:
     output: CombTerm
     verified: bool
     steps: int
-    constants: tuple[str, ...] = field(default=())
 
 
-def compile(
-    s: poly.Sequent,
-    club: Club | None = None,
-    constants: tuple[str, ...] = (),
-) -> CompileReport:
+def compile(s: poly.Sequent, club: Club | None = None) -> CompileReport:
     """Compile s over the given club (default: its minimal club).
 
-    With constants, the first len(constants) slots of s are constant
-    occurrences: the extended sequent is compiled as usual, so the club must
-    contain the extended usage function, and the witness is then applied to
-    the constant symbols, leaving a term over the remaining variables only.
-
     Raises ClubViolation, through finord.factor, when the usage function is
-    not in the club, ArityZero when constants fill every slot (no Sequent
-    with an empty context can hold a term), and ParseError for a constant
-    named B, C, K, W or I, which the printed term would read back as that
-    primitive.  The chain it lifts is one finord.factor has checked to
+    not in the club.  The chain it lifts is one finord.factor has checked to
     rebuild the usage; factor raises VerificationFailed, or ArityMismatch,
     for a chain that does not.
 
-    The witness is then checked by comb.verify and compile is its only
-    judge: it returns a report only when the check passed, and raises
+    The closed witness w is then checked by comb.verify, which reduces
+    w v1 ... vn on one private symbol per context slot, and compile is its
+    only judge: it returns a report only when the check passed, and raises
     VerificationFailed otherwise.  Every primitive of the witness fires
     exactly once when it is verified, so the fold counts them (B^k has
     max(2k - 1, 1), and each lift or contraction adds one) and that count is
@@ -143,13 +132,6 @@ def compile(
     reducer's terms are tuples of tuples, acyclic by construction, so a
     collection there frees nothing and only walks the growing term.
     """
-    if len(constants) > s.context_size:
-        raise ArityMismatch(f"{len(constants)} constants exceed {s.context_size} context slots")
-    if len(constants) == s.context_size:  # a Sequent with no context holds no term
-        raise ArityZero("the term contains constants only; no variables remain")
-    for name in constants:
-        if name in comb.PRIM_NAMES:
-            raise ParseError(f"constant {name} would print as the primitive {name}; rename it")
     dec = poly.usage(s)
     u, skeleton = dec.usage, dec.skeleton
     minimal = finord.minimal_club(u)
@@ -164,9 +146,8 @@ def compile(
         for g in chain:
             term = lift(term, g)
             leaves += _added_leaves(g.i - 1)
-        output = comb.apply(term, [FreeSym(name) for name in constants])
         try:
-            correct, steps = comb.verify(output, s, leaves, constants)
+            correct, steps = comb.verify(term, s, leaves)
         except FuelExhausted as e:
             raise VerificationFailed(
                 f"verification took more steps than the witness's {leaves} primitives") from e
@@ -185,8 +166,7 @@ def compile(
         skeleton=skeleton,
         minimal_club=minimal,
         generator_chain=chain,
-        output=output,
+        output=term,
         verified=True,
         steps=steps,
-        constants=tuple(constants),
     )

@@ -15,7 +15,7 @@ import oracles
 from clubcomb import cli, comb, compiler, finord
 from clubcomb.errors import VerificationFailed
 from clubcomb.finord import Club, FinFun, parse_finfun
-from clubcomb.poly import parse
+from clubcomb.poly import Var, parse, parse_with_constants
 from cli_corpus import CASES, JSON_CASES, run_cli
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -441,6 +441,34 @@ def test_wrong_normal_form_is_internal_error(monkeypatch, capsys):
     assert capsys.readouterr() == ("", "error: internal error: verification failed\n")
     assert cli.main(["compile", "--json", "x1,x2,x3 |- x1 (x2 x3)"]) == 4
     assert json.loads(capsys.readouterr().out)["error"] == "internal error: verification failed"
+
+
+def test_constants_do_not_hide_a_wrong_witness(monkeypatch, capsys):
+    # I (I (I C)) B computes x2 (x1 x3), not x1 (x2 x3), in the same 5 steps.
+    # With f in both constant slots the two terms agree, but what is verified
+    # is the closed witness, before any constant is applied
+    monkeypatch.setattr(compiler, "compile_bracketing", lambda t: comb.parse_comb("I (I (I C)) B"))
+    assert cli.main(["compile", "--constants", "x |- f (f x)"]) == 4
+    assert capsys.readouterr() == ("", "error: internal error: verification failed\n")
+
+
+def _fill(t, slots):
+    """The polynomial term t with Var i replaced by slots[i - 1]."""
+    if type(t) is Var:
+        return slots[t.index - 1]
+    return comb.App(_fill(t.left, slots), _fill(t.right, slots))
+
+
+@pytest.mark.parametrize("text", ["x |- f (g x)", "x |- f (f x)", "x |- x a", "x |- v1 x",
+                                  "x, y |- a y (b x) y", "x, y |- y (f x) (f y) c"])
+def test_printed_constants_term_computes_the_polynomial_in_the_reported_steps(text, capsys):
+    assert cli.main(["compile", "--json", "--constants", text]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    s, constants = parse_with_constants(text)
+    fresh = [comb.FreeSym(f"#{j}") for j in range(1, s.context_size - len(constants) + 1)]
+    result = comb.normalize(comb.apply(comb.parse_comb(printed["term"]), fresh))
+    expected = _fill(s.term, [comb.FreeSym(c) for c in constants] + fresh)
+    assert (result.term, result.steps) == (expected, printed["steps"])
 
 
 @pytest.mark.parametrize("argv", [

@@ -674,12 +674,11 @@ def test_terms_are_values_apart_from_tuples_and_other_node_classes():
 
 
 def test_verify_compares_leaves_exactly():
-    s, constants = poly.parse_with_constants("x |- B x")
-    ok, _ = verify(App(I, Prim("B")), s, constants=constants)
-    assert not ok  # prints like the constant B, but is the primitive
-    ok, _ = verify(App(I, FreeSym("B")), s, constants=constants)
-    assert ok
-    ok, _ = verify(I, poly.parse("x |- x x"))
+    s = poly.parse("x |- x x")
+    assert verify(App(W, I), s) == (True, 2)
+    ok, _ = verify(App(K, App(FreeSym("v1"), FreeSym("v1"))), s)
+    assert not ok  # prints like the expected v1 v1, but holds named symbols
+    ok, _ = verify(I, s)
     assert not ok  # the normal form is a leaf, the polynomial an application
 
 

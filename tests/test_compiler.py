@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import json
 import random
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import clubcomb
-from clubcomb import comb, finord, poly
+from clubcomb import cli, comb, finord, poly
 from clubcomb.comb import App, B, C, I, K, W, FreeSym
 from clubcomb.compiler import compile, compile_bracketing, lift
 from clubcomb.errors import (
@@ -18,7 +19,6 @@ from clubcomb.errors import (
     ArityZero,
     ClubViolation,
     IndexOutOfRange,
-    ParseError,
     VerificationFailed,
 )
 from clubcomb.finord import Club, FinFun
@@ -337,14 +337,36 @@ def test_compiled_witnesses_behave_as_their_basis_combinators():
     assert ok
 
 
+# Inputs parsed with constants are sequents like any other: the constants
+# take the leading slots, and compile returns the closed witness.
+_CONSTANTS_INPUTS = ["x |- a (b x)", "x |- f (g x)", "x |- f (f x)", "x |- x a",
+                     "x, y |- a y (b x) y", "x |- v1 x", "x, y |- y (f x) (f y) c", "|- k k"]
+
+
+def test_every_report_verifies_as_it_stands(monkeypatch, capsys):
+    # the report's output computes the report's input, in the reported steps,
+    # for the reports compile --constants makes too
+    reports = [compile(s) for s in all_small_sequents(3, 3)]
+    reports += [compile(poly.parse_with_constants(text)[0]) for text in _CONSTANTS_INPUTS]
+    made = []
+    monkeypatch.setattr(cli.compiler, "compile",
+                        lambda *args, **kwargs: made.append(compile(*args, **kwargs)) or made[-1])
+    for text in _CONSTANTS_INPUTS[:-1]:  # the last holds constants only, which the CLI refuses
+        assert cli.main(["compile", "--constants", text]) == 0
+    capsys.readouterr()
+    assert len(made) == len(_CONSTANTS_INPUTS) - 1
+    for r in reports + made:
+        assert comb.verify(r.output, r.input) == (True, r.steps), poly.format_sequent(r.input)
+
+
 def test_compile_with_constants_basic():
     s, consts = poly.parse_with_constants("x |- a (b x)")
-    report = compile(s, constants=consts)
-    assert report.constants == ("a", "b")
-    # the witness is applied to the constants in slot order
-    head = report.output
-    assert isinstance(head, App) and head.right == FreeSym("b")
-    assert isinstance(head.left, App) and head.left.right == FreeSym("a")
+    report = compile(s)
+    assert consts == ("a", "b") and not hasattr(report, "constants")
+    # the output is closed; the constants are applied to it in slot order
+    assert oracles.naive_primitives(report.output) == {"B", "I"}
+    assert comb.format_comb(comb.apply(report.output, [FreeSym(c) for c in consts])) == (
+        "B B (I B I) a b")
     assert report.verified
 
 
@@ -352,43 +374,53 @@ def test_compile_with_constants_club_checked_on_extended_usage():
     # x |- x a extends to usage [2,1], which needs Bij, not Id
     s, consts = poly.parse_with_constants("x |- x a")
     with pytest.raises(ClubViolation) as exc:
-        compile(s, club=Club.ID, constants=consts)
+        compile(s, club=Club.ID)
     assert exc.value.minimal is Club.BIJ
-    report = compile(s, club=Club.BIJ, constants=consts)
+    report = compile(s, club=Club.BIJ)
     assert report.verified
 
 
 def test_compile_with_constants_arity_zero():
-    s, consts = poly.parse_with_constants("|- k k")
-    with pytest.raises(ArityZero):
-        compile(s, constants=consts)
+    # a term of constants only is a polynomial to compile; only the CLI,
+    # which would apply its witness to every slot, refuses it
+    s, _ = poly.parse_with_constants("|- k k")
+    assert compile(s).steps == 3
+    assert cli.main(["compile", "--constants", "|- k k"]) == 1
 
 
 def test_compile_with_constants_repeated_name_collision_safe():
-    # constants named like fresh symbols must not confuse verification
+    # a constant named like verify's private symbols never reaches verify:
+    # the witness it checks is closed
     s, consts = poly.parse_with_constants("x |- v1 x")
-    report = compile(s, constants=consts)
-    assert report.verified
+    report = compile(s)
+    assert consts == ("v1",)
+    assert set(comb.format_comb(report.output)) <= set("BCKWI ()")  # primitives only
+    assert comb.verify(report.output, s) == (True, report.steps)
 
 
 def test_compile_with_constants_single_constant_arity_zero():
-    # every valid sequent has at least one variable, so the guard in plain
-    # compile is unreachable; the constants path is the honest trigger
-    s, consts = poly.parse_with_constants("|- k")
-    with pytest.raises(ArityZero):
-        compile(s, constants=consts)
+    # compile takes the one-slot sequent as it is; the CLI refuses it
+    s, _ = poly.parse_with_constants("|- k")
+    assert compile(s).output == I
+    assert cli.main(["compile", "--constants", "|- k"]) == 1
 
 
-def test_compile_refuses_constants_spelled_like_primitives():
+def test_compile_refuses_constants_spelled_like_primitives(capsys):
     # format_comb would print the constant K as K, which parse_comb reads as
-    # the primitive: the printed term would compute something else
+    # the primitive: the printed term would compute something else.  The
+    # closed witness is sound; the compile command refuses to apply it, and
+    # does so before the club check
     for name in ("B", "C", "K", "W", "I"):
-        s, constants = poly.parse_with_constants(f"x |- {name} x x")
-        with pytest.raises(ParseError, match=f"constant {name} would print as the primitive"):
-            compile(s, constants=constants)
-    s, constants = poly.parse_with_constants("x |- Ka x x")
-    report = compile(s, constants=constants)
-    assert comb.parse_comb(comb.format_comb(report.output)) == report.output
+        s, _ = poly.parse_with_constants(f"x |- {name} x x")
+        assert compile(s).verified
+        assert cli.main(["compile", "--constants", f"x |- {name} x x"]) == 1
+        assert cli.main(["compile", "--constants", "--club", "id", f"x |- x {name}"]) == 1
+        assert capsys.readouterr().err == 2 * (
+            f"error: constant {name} would print as the primitive {name}; rename it\n")
+    assert cli.main(["compile", "--json", "--constants", "x |- Ka x x"]) == 0
+    term = comb.parse_comb(json.loads(capsys.readouterr().out)["term"])
+    assert term == comb.apply(compile(poly.parse_with_constants("x |- Ka x x")[0]).output,
+                              [FreeSym("Ka")])
 
 
 @pytest.mark.parametrize("collecting", [True, False])
@@ -405,10 +437,6 @@ def test_compile_leaves_the_collector_as_it_found_it(collecting, monkeypatch):
         assert gc.isenabled() is collecting
         with pytest.raises(ClubViolation):
             compile(poly.parse("x1,x2 |- x2 x1"), club=Club.ID)
-        assert gc.isenabled() is collecting
-        s, constants = poly.parse_with_constants("x |- K x x")
-        with pytest.raises(ParseError):
-            compile(s, constants=constants)
         assert gc.isenabled() is collecting
         # a reducer that returns its input unreduced, in exactly the budget
         monkeypatch.setattr(comb, "normalize", lambda t, fuel: comb.ReductionResult(
