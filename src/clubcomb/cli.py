@@ -225,9 +225,9 @@ def _cmd_eval(ns) -> int:
     if ns.fuel < 1:
         return _fail(ns, EXIT_USAGE, "fuel must be at least 1")
     result = comb.normalize(comb.parse_comb(ns.input), ns.fuel)
-    exhausted = result.status is comb.ReductionStatus.FUEL_EXHAUSTED
-    _emit(ns, term=result.term, steps=result.steps, error="FuelExhausted" if exhausted else None)
-    return EXIT_FUEL if exhausted else EXIT_OK
+    _emit(ns, term=result.term, steps=result.steps,
+          error="FuelExhausted" if result.exhausted else None)
+    return EXIT_FUEL if result.exhausted else EXIT_OK
 
 
 def _cmd_factor(ns) -> int:

@@ -16,8 +16,6 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from enum import Enum
-from operator import attrgetter
 
 from . import poly
 from .errors import FuelExhausted
@@ -64,20 +62,20 @@ def apply(t: CombTerm, args: list[CombTerm] | tuple[CombTerm, ...]) -> CombTerm:
     return t
 
 
-class ReductionStatus(Enum):
-    NORMAL = "normal"
-    FUEL_EXHAUSTED = "fuel_exhausted"
-
-
 @dataclass(frozen=True)
 class ReductionResult:
+    """The term reduction stopped at, the steps taken, and whether the fuel
+    ran out first (the term is then not in normal form)."""
+
     term: CombTerm
     steps: int
-    status: ReductionStatus
+    exhausted: bool
 
 
 def normalize(t: CombTerm, fuel: int = DEFAULT_FUEL) -> ReductionResult:
-    """Reduce to normal form, giving up after fuel steps.
+    """Reduce to normal form, giving up after fuel steps: the result is
+    exhausted when a redex remains after fuel steps, and its term is then the
+    one reached.
 
     A spine-stack machine: the left spine is unwound onto an argument stack
     (first argument on top) and the root redex contracted on that stack while
@@ -125,8 +123,7 @@ def normalize(t: CombTerm, fuel: int = DEFAULT_FUEL) -> ReductionResult:
                 if type(head) is not Prim or len(args) < _ARITY[head.name]:
                     break
                 if steps == fuel:
-                    return ReductionResult(
-                        _rebuild(head, args, frames), steps, ReductionStatus.FUEL_EXHAUSTED)
+                    return ReductionResult(_rebuild(head, args, frames), steps, True)
                 name = head.name
                 steps += 1
                 head = args.pop()
@@ -151,7 +148,7 @@ def normalize(t: CombTerm, fuel: int = DEFAULT_FUEL) -> ReductionResult:
             frames.pop()
             done = apply(frame[0], frame[2])
             if not frames:
-                return ReductionResult(done, steps, ReductionStatus.NORMAL)
+                return ReductionResult(done, steps, False)
             frames[-1][2].append(done)
 
 
@@ -168,10 +165,11 @@ def b_power(n: int) -> CombTerm:
 
     Applied to b, a, x1..xn it yields b (a x1 ... xn): it pushes one function
     b past n arguments.  Each level k >= 2 stores k as a third item, so the
-    reducer and the printer read the power in O(1).  Only b_power records a
-    power: every other application, such as a parsed, reduced, copied or
-    unpickled tower, is a pair and gets single steps and the node-by-node
-    print, with the same results.  == and hash ignore the power.
+    reducer reads the power in O(1) and format_comb prints the level whole
+    from a cached text.  Only b_power records a power: every other
+    application, such as a parsed, reduced, copied or unpickled tower, is a
+    pair and gets single steps and the node-by-node print, with the same
+    results.  == and hash ignore the power.
     """
     if n < 0:
         raise ValueError("negative power")
@@ -201,13 +199,12 @@ def verify(candidate: CombTerm, s: poly.Sequent, fuel: int = DEFAULT_FUEL) -> tu
     """
     syms = [_Slot(f"v{k}") for k in range(1, s.context_size + 1)]
     result = normalize(apply(candidate, syms), fuel)
-    if result.status is ReductionStatus.FUEL_EXHAUSTED:
-        raise FuelExhausted(f"no normal form within {result.steps} steps", steps=result.steps)
+    if result.exhausted:
+        raise FuelExhausted(f"no normal form within {result.steps} steps")
     expected = poly._rebuild(s.term, lambda v: syms[v.index - 1])
     return result.term == expected, result.steps
 
 
-_name = attrgetter("name")
 _TOKEN_RE = re.compile(rf"\s*({poly._IDENT_RE.pattern}|[()])")
 
 
@@ -230,15 +227,17 @@ def format_comb(t: CombTerm) -> str:
     and so reads back as the primitive (`compile --constants` refuses such a
     constant before it applies the witness to it).
 
-    A node that stores its power k (see b_power) is printed in one piece
-    where it heads a spine, as an argument does once its parentheses open:
-    B B (B B (... (B B B))), the text the node-by-node walk gives it.
+    A node that stores its power k (see b_power) reaches format_applications'
+    name callback whole where it heads a spine, as an argument does once its
+    parentheses open, and prints as B B (B B (... (B B B))), the text the
+    node-by-node walk gives it.
     """
-    return poly.format_applications(t, _name, _power_text)
+    return poly.format_applications(t, _text)
 
 
-def _power_text(a: App) -> str:
-    return _b_text(a[2])
+def _text(x: CombTerm) -> str:
+    """The text of a leaf, or of a whole node that stores its power of B."""
+    return _b_text(x[2]) if type(x) is App else x.name
 
 
 @functools.lru_cache(maxsize=1024)

@@ -66,7 +66,6 @@ def _added_leaves(k: int) -> int:
 # lift shares one leaf object, and the family's domain minus n.
 _LIFTS = {kind: (getattr(comb, name), offset)
           for kind, (_, name, offset) in finord._FAMILIES.items()}
-_new = tuple.__new__
 
 
 def lift(a: CombTerm, g: Generator) -> CombTerm:
@@ -80,8 +79,7 @@ def lift(a: CombTerm, g: Generator) -> CombTerm:
     prim, offset = _LIFTS[kind]
     if n + offset == 0:
         raise ArityZero("cannot lift a face into a one-argument witness")
-    # both are plain pairs: only b_power stores a power
-    return _new(App, (_new(App, (comb.b_power(i - 1), prim)), a))
+    return App(App(comb.b_power(i - 1), prim), a)
 
 
 @dataclass(frozen=True)
@@ -92,11 +90,12 @@ class CompileReport:
     the smallest club containing usage, and club_used the club it was
     factored in (minimal_club unless one was requested).  output is the
     closed witness: applied to one symbol per context slot of input, it
-    reduces to input's term, so comb.verify(output, input) is (True, steps).
-    compile checks every output by that reduction and returns no witness
-    that failed, so verified is always True; it stays because the JSON
-    schema and the benchmarks read it.  steps is the step count of that
-    check, the witness's primitive count.
+    reduces to input's term in steps steps, so comb.verify(output, input,
+    steps) is (True, steps); past comb.DEFAULT_FUEL steps the default budget
+    of comb.verify runs out first.  compile checks every output by that
+    reduction and returns no witness that failed, so verified is always
+    True; it stays because the JSON schema and the benchmarks read it.
+    steps is the step count of that check, the witness's primitive count.
     """
 
     input: poly.Sequent

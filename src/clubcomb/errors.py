@@ -51,8 +51,5 @@ class VerificationFailed(ClubCombError):
 
 
 class FuelExhausted(ClubCombError):
-    """Reduction did not reach a normal form within the step budget."""
-
-    def __init__(self, message: str, steps: int):
-        super().__init__(message)
-        self.steps = steps
+    """Reduction did not reach a normal form within the step budget; the
+    message gives the budget."""

@@ -139,7 +139,6 @@ class Generator(Record):
     """
 
     __slots__ = ()
-    __match_args__ = ("kind", "n", "i")
     kind = _Triple.kind
     n = _Triple.n
     i = _Triple.i

@@ -261,15 +261,15 @@ def parse(text: str) -> Sequent:
     return s
 
 
-def format_applications(t, name: Callable, node: Callable | None = None) -> str:
+def format_applications(t, name: Callable) -> str:
     """Juxtaposition with minimal parentheses: only an argument that is itself
     an application is parenthesized; name renders a leaf.
 
-    node renders in one piece an application that stores items beyond left
-    and right (comb.b_power stores a power of B there) when the walk meets
-    one as the head of a spine; an argument is met as the head of its own
-    spine once its parentheses open.  Without node, every application is
-    walked through its left and right.
+    An application that stores items beyond left and right (comb.b_power
+    stores a power of B there) is rendered whole by name where the walk meets
+    it as the head of a spine; an argument is met as the head of its own
+    spine once its parentheses open.  Every other application is walked
+    through its left and right.
     """
     parts: list[str] = []
     stack: list = [t]  # terms to render and finished text, next on top
@@ -278,18 +278,14 @@ def format_applications(t, name: Callable, node: Callable | None = None) -> str:
         if type(x) is str:
             parts.append(x)
             continue
-        while type(x) is App:  # down the left spine, arguments onto the stack
-            if len(x) > 2 and node:
-                parts.append(node(x))
-                break
+        while type(x) is App and len(x) == 2:  # down the left spine, arguments onto the stack
             right = x.right
             if type(right) is App:
                 stack += (")", right, " (")
             else:
                 stack.append(" " + name(right))
             x = x.left
-        else:
-            parts.append(name(x))
+        parts.append(name(x))
     return "".join(parts)
 
 

@@ -34,7 +34,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from clubcomb import comb, finord, poly
-from clubcomb.comb import App, CombTerm, FreeSym, Prim, ReductionStatus, apply
+from clubcomb.comb import App, CombTerm, FreeSym, Prim, apply
 from clubcomb.errors import ArityMismatch, DuplicateContextVariable, ParseError, UndeclaredVariable
 from clubcomb.finord import Club, FinFun, Generator, GenKind
 from clubcomb.poly import Sequent, Var
@@ -338,15 +338,16 @@ def naive_step(t: CombTerm) -> CombTerm | None:
     return None
 
 
-def naive_normalize(t: CombTerm, fuel: int) -> tuple[CombTerm, int, ReductionStatus]:
-    """Repeated naive_step: rebuilds the whole spine on every step."""
+def naive_normalize(t: CombTerm, fuel: int) -> tuple[CombTerm, int, bool]:
+    """Repeated naive_step: rebuilds the whole spine on every step.  Returns
+    (term, steps, exhausted), exhausted when a redex remains after fuel steps."""
     steps = 0
     while True:
         advanced = naive_step(t)
         if advanced is None:
-            return t, steps, ReductionStatus.NORMAL
+            return t, steps, False
         if steps == fuel:
-            return t, steps, ReductionStatus.FUEL_EXHAUSTED
+            return t, steps, True
         t = advanced
         steps += 1
 
@@ -358,8 +359,7 @@ def naive_normalize_each_fuel(t: CombTerm, max_fuel: int) -> Iterator[tuple]:
     for _ in range(max_fuel):
         if advanced is not None:
             t, done, advanced = advanced, done + 1, naive_step(advanced)
-        status = ReductionStatus.NORMAL if advanced is None else ReductionStatus.FUEL_EXHAUSTED
-        yield t, done, status
+        yield t, done, advanced is not None
 
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")

@@ -16,7 +16,7 @@ import time
 import oracles
 from cli_corpus import CASES, run_cli
 from clubcomb import comb, compiler, finord, poly
-from clubcomb.comb import App, B, C, FreeSym, I, K, ReductionStatus, W
+from clubcomb.comb import App, B, C, FreeSym, I, K, W
 from clubcomb.errors import ClubViolation
 from clubcomb.finord import Club, FinFun
 
@@ -133,7 +133,7 @@ def test_criterion_04_b_power_law():
         vs = [FreeSym(f"v{k}") for k in range(1, n + 1)]
         result = comb.normalize(comb.apply(comb.b_power(n), [head, inner, *vs]))
         _cheap(result.steps)
-        assert result.status is ReductionStatus.NORMAL
+        assert not result.exhausted
         assert result.term == App(head, comb.apply(inner, vs)), n
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"power law sweep took {elapsed:.2f}s"
@@ -223,7 +223,7 @@ def test_criterion_08_primitive_equations():
     for prim, args, expected in equations:
         result = comb.normalize(comb.apply(prim, args))
         _cheap(result.steps)
-        assert result.status is ReductionStatus.NORMAL
+        assert not result.exhausted
         assert result.term == expected, prim
         assert result.steps <= 3, prim
 
@@ -255,7 +255,7 @@ def test_criterion_10_fuel_accounting():
     # steps with the term unchanged.
     www = comb.apply(W, [W, W])
     result = comb.normalize(www, fuel=100)
-    assert result.status is ReductionStatus.FUEL_EXHAUSTED
+    assert result.exhausted
     assert result.steps == 100
     assert result.term == www
 

@@ -419,7 +419,7 @@ def test_verification_off_the_primitive_count_is_internal_error(monkeypatch, cap
 
     def one_step_short(t, fuel):
         r = normalize(t, fuel)
-        return cli.comb.ReductionResult(r.term, r.steps - 1, r.status)
+        return cli.comb.ReductionResult(r.term, r.steps - 1, r.exhausted)
 
     monkeypatch.setattr(cli.comb, "normalize", one_step_short)
     assert cli.main(["compile", "x1,x2,x3 |- x1 (x2 x3)"]) == 4

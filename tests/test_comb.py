@@ -21,7 +21,6 @@ from clubcomb.comb import (
     I,
     K,
     Prim,
-    ReductionStatus,
     W,
     _Slot,
     apply,
@@ -77,7 +76,7 @@ def test_over_application_keeps_trailing_arguments():
 def test_normalize_counts_steps():
     t = apply(App(App(I, B), I), syms("v1", "v2"))
     result = normalize(t)
-    assert result.status is ReductionStatus.NORMAL
+    assert not result.exhausted
     assert result.term == App(FreeSym("v1"), FreeSym("v2"))
     assert result.steps == 3
 
@@ -85,7 +84,7 @@ def test_normalize_counts_steps():
 def test_normalize_self_replicator_runs_out_of_fuel():
     www = apply(W, [W, W])
     result = normalize(www, fuel=100)
-    assert result.status is ReductionStatus.FUEL_EXHAUSTED
+    assert result.exhausted
     assert result.steps == 100
     assert result.term == www  # W W W steps to itself
 
@@ -104,7 +103,7 @@ def test_normalize_is_deterministic_and_complete(t):
     r1 = normalize(t, fuel=500)
     r2 = normalize(t, fuel=500)
     assert r1 == r2
-    if r1.status is ReductionStatus.NORMAL:
+    if not r1.exhausted:
         assert oracles.naive_step(r1.term) is None
 
 
@@ -118,13 +117,13 @@ def test_normalize_is_deterministic_and_complete(t):
 )
 def test_normalize_agrees_with_naive_step_loop(t, fuel):
     r = normalize(t, fuel)
-    assert (r.term, r.steps, r.status) == naive_normalize(t, fuel)
+    assert (r.term, r.steps, r.exhausted) == naive_normalize(t, fuel)
 
 
 def assert_agrees_with_naive_at_every_fuel(t, max_fuel):
     for fuel, expected in enumerate(oracles.naive_normalize_each_fuel(t, max_fuel), 1):
         r = normalize(t, fuel)
-        assert (r.term, r.steps, r.status) == expected, fuel
+        assert (r.term, r.steps, r.exhausted) == expected, fuel
     assert expected == naive_normalize(t, max_fuel)
 
 
@@ -230,7 +229,7 @@ def test_recorded_power_heads_agree_with_naive_step_loop_at_every_fuel():
         assert naive_normalize(t, DEFAULT_FUEL)[1] == 2 * k
         for fuel in (2 * k - 1, 2 * k):
             r = normalize(t, fuel)
-            assert (r.term, r.steps, r.status) == naive_normalize(t, fuel)
+            assert (r.term, r.steps, r.exhausted) == naive_normalize(t, fuel)
 
 
 def test_power_arguments_under_a_stuck_head_agree_at_every_fuel():
@@ -285,7 +284,7 @@ def test_b_power_spine_is_read_once_per_chain():
     for t in [apply(ends_in_x, [K, FreeSym("a"), *v]),  # not a B-power
               apply(b_power(m), [K, FreeSym("a"), *v[:m - 5]])]:  # too few arguments
         r = normalize(t)
-        assert (r.term, r.steps, r.status) == naive_normalize(t, DEFAULT_FUEL)
+        assert (r.term, r.steps, r.exhausted) == naive_normalize(t, DEFAULT_FUEL)
 
 
 def test_normalize_deep_terms_without_recursion():
@@ -294,13 +293,13 @@ def test_normalize_deep_terms_without_recursion():
     for _ in range(n):
         t = App(I, t)
     r = normalize(t)
-    assert (r.term, r.steps, r.status) == (FreeSym("x"), n, ReductionStatus.NORMAL)
+    assert (r.term, r.steps, r.exhausted) == (FreeSym("x"), n, False)
     # a stuck head over a deep argument: f (I (f (I ... x))) -> f (f ... x)
     t = FreeSym("x")
     for _ in range(n // 2):
         t = App(FreeSym("f"), App(I, t))
     r = normalize(t)
-    assert r.steps == n // 2 and r.status is ReductionStatus.NORMAL
+    assert r.steps == n // 2 and not r.exhausted
     assert format_comb(r.term) == "f (" * (n // 2 - 1) + "f x" + ")" * (n // 2 - 1)
 
 
@@ -326,7 +325,7 @@ def test_b_power_composition_law():
         b_sym, a_sym = FreeSym("f"), FreeSym("g")
         args = syms(*[f"v{k}" for k in range(1, n + 1)])
         lhs = normalize(apply(b_power(n), [b_sym, a_sym] + args))
-        assert lhs.status is ReductionStatus.NORMAL
+        assert not lhs.exhausted
         assert lhs.term == App(b_sym, apply(a_sym, args))
 
 

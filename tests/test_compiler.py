@@ -18,6 +18,7 @@ from clubcomb.errors import (
     ArityMismatch,
     ArityZero,
     ClubViolation,
+    FuelExhausted,
     IndexOutOfRange,
     VerificationFailed,
 )
@@ -359,6 +360,21 @@ def test_every_report_verifies_as_it_stands(monkeypatch, capsys):
         assert comb.verify(r.output, r.input) == (True, r.steps), poly.format_sequent(r.input)
 
 
+def test_a_report_past_the_default_fuel_verifies_in_its_own_steps():
+    # the 146-occurrence left-comb reversal takes more than comb.DEFAULT_FUEL
+    # steps: the report verifies with its steps as the budget, and the
+    # default budget runs out first
+    n = 146
+    term = Var(n)
+    for j in range(n - 1, 0, -1):
+        term = App(term, Var(j))
+    r = compile(poly.Sequent(n, term))
+    assert r.steps > comb.DEFAULT_FUEL
+    assert comb.verify(r.output, r.input, r.steps) == (True, r.steps)
+    with pytest.raises(FuelExhausted):
+        comb.verify(r.output, r.input)
+
+
 def test_compile_with_constants_basic():
     s, consts = poly.parse_with_constants("x |- a (b x)")
     report = compile(s)
@@ -440,7 +456,7 @@ def test_compile_leaves_the_collector_as_it_found_it(collecting, monkeypatch):
         assert gc.isenabled() is collecting
         # a reducer that returns its input unreduced, in exactly the budget
         monkeypatch.setattr(comb, "normalize", lambda t, fuel: comb.ReductionResult(
-            t, fuel, comb.ReductionStatus.NORMAL))
+            t, fuel, False))
         with pytest.raises(VerificationFailed, match="verification failed"):
             compile(poly.parse("x,y |- y x"))
         assert gc.isenabled() is collecting

@@ -112,12 +112,23 @@ def test_format_sequent_matches_the_isinstance_reference(s):
     assert format_sequent(s) == oracles.naive_format_sequent(s)
 
 
-def test_format_applications_walks_every_node_without_a_node_hook():
-    # comb.b_power stores B^k's power as a third item; without a hook for such
-    # nodes the walk goes through their left and right like any other
-    t = comb.App(comb.App(comb.b_power(4), comb.C), comb.b_power(2))
-    text = format_applications(t, lambda leaf: leaf.name)
-    assert text == oracles.naive_format_comb(t) == "B B (B B (B B B)) C (B B B)"
+def test_format_applications_hands_name_a_stored_power_whole_at_a_spine_head():
+    # comb.b_power stores B^k's power as a third item: name gets such a node
+    # whole where it heads a spine, an argument once its parentheses open,
+    # and every plain pair is walked through its left and right
+    p4, p3, p2 = comb.b_power(4), comb.b_power(3), comb.b_power(2)
+    plain = comb.parse_comb("B B (B B B)")  # equals p3, but stores no power
+    t = comb.apply(p4, [comb.C, p3, comb.App(comb.K, p2), plain])
+    seen = []
+
+    def name(x):
+        seen.append(x)
+        return f"<{x[2]}>" if type(x) is App else x.name
+
+    assert format_applications(t, name) == "<4> C (<3>) (K (<2>)) (B B (B B B))"
+    nodes = [x for x in seen if type(x) is App]
+    assert len(nodes) == 3 and all(any(x is p for x in nodes) for p in (p4, p3, p2))
+    assert sorted(x.name for x in seen if type(x) is not App) == ["B"] * 5 + ["C", "K"]
 
 
 def test_deep_terms_shapes_and_sequents_have_value_semantics():

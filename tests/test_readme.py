@@ -40,7 +40,8 @@ def run_block(source: str) -> tuple[dict, list]:
 
 def test_readme_library_block_gives_the_values_it_states():
     names, evaluated = run_block(library_block())
-    verdicts = [value for text, value in evaluated if text == "verify(report.output, report.input)"]
+    verdicts = [value for text, value in evaluated
+                if text == "verify(report.output, report.input, report.steps)"]
     assert verdicts == [(True, 9), (True, 5)]  # the closed witness, with or without constants
     values = dict(evaluated)
     skeleton = values["report.skeleton"]
@@ -58,6 +59,8 @@ def test_readme_library_block_gives_the_values_it_states():
     assert " ".join(map(str, names["chain"])) == "t(3,1) t(3,2) s(2,1)"
     assert values["chain[-1].dom"] == 3
     assert format_comb(values['normalize(parse_comb("W f x")).term']) == "f x x"
+    stopped = values['normalize(parse_comb("W W W"), 5)']
+    assert (format_comb(stopped.term), stopped.steps, stopped.exhausted) == ("W W W", 5, True)
 
 
 def shell_examples() -> list[list]:
@@ -86,8 +89,8 @@ def shell_examples() -> list[list]:
 EXAMPLES = shell_examples()
 
 
-def test_readme_shows_ten_shell_examples():
-    assert len(EXAMPLES) == 10
+def test_readme_shows_eleven_shell_examples():
+    assert len(EXAMPLES) == 11
 
 
 @pytest.mark.parametrize("command,printed,code", EXAMPLES, ids=[e[0] for e in EXAMPLES])
