@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import poly
 from .errors import FuelExhausted
+from .finord import Record
 from .poly import App
 
 DEFAULT_FUEL = 10**6
@@ -26,24 +27,25 @@ DEFAULT_FUEL = 10**6
 _ARITY = {"B": 3, "C": 3, "K": 2, "W": 2, "I": 1}
 PRIM_NAMES = tuple(_ARITY)
 
-
-@dataclass(frozen=True)
-class Prim:
-    name: str
-
-    def __post_init__(self):
-        if self.name not in PRIM_NAMES:
-            raise ValueError(f"unknown primitive {self.name!r}")
+_new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class FreeSym:
+class Prim(Record, namedtuple("Prim", "name")):
+    """One of the five primitives, by name."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str):
+        if name not in PRIM_NAMES:
+            raise ValueError(f"unknown primitive {name!r}")
+        return _new(cls, (name,))
+
+
+class FreeSym(Record, namedtuple("FreeSym", "name")):
     """An inert free symbol; never the head of a redex."""
 
-    name: str
+    __slots__ = ()
 
-
-_new = tuple.__new__
 
 CombTerm = Prim | FreeSym | App
 
@@ -62,14 +64,11 @@ def apply(t: CombTerm, args: list[CombTerm] | tuple[CombTerm, ...]) -> CombTerm:
     return t
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(Record, namedtuple("ReductionResult", "term steps exhausted")):
     """The term reduction stopped at, the steps taken, and whether the fuel
     ran out first (the term is then not in normal form)."""
 
-    term: CombTerm
-    steps: int
-    exhausted: bool
+    __slots__ = ()
 
 
 def normalize(t: CombTerm, fuel: int = DEFAULT_FUEL) -> ReductionResult:
@@ -182,10 +181,11 @@ def b_power(n: int) -> CombTerm:
     return t
 
 
-@dataclass(frozen=True)
 class _Slot(FreeSym):
-    """A symbol verify applies a candidate to.  The dataclass == compares
+    """A symbol verify applies a candidate to.  A Record's == compares
     classes, so no FreeSym a candidate contains ever equals one."""
+
+    __slots__ = ()
 
 
 def verify(candidate: CombTerm, s: poly.Sequent, fuel: int = DEFAULT_FUEL) -> tuple[bool, int]:

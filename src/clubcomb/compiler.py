@@ -20,12 +20,12 @@ chain in application order rebuilds exactly the usage function.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import comb, finord, poly
 from .comb import App, CombTerm
 from .errors import ArityZero, FuelExhausted, VerificationFailed
-from .finord import Club, FinFun, Generator
+from .finord import Club, Generator, Record
 
 
 def _contractions(t: poly.PolyTerm):
@@ -82,8 +82,8 @@ def lift(a: CombTerm, g: Generator) -> CombTerm:
     return App(App(comb.b_power(i - 1), prim), a)
 
 
-@dataclass(frozen=True)
-class CompileReport:
+class CompileReport(Record, namedtuple("CompileReport", (
+        "input club_used usage skeleton minimal_club generator_chain output verified steps"))):
     """Everything the compiler decided and produced for one input.
 
     skeleton and usage are the input's usage decomposition, minimal_club is
@@ -98,15 +98,7 @@ class CompileReport:
     steps is the step count of that check, the witness's primitive count.
     """
 
-    input: poly.Sequent
-    club_used: Club
-    usage: FinFun
-    skeleton: poly.PolyTerm
-    minimal_club: Club
-    generator_chain: tuple[Generator, ...]
-    output: CombTerm
-    verified: bool
-    steps: int
+    __slots__ = ()
 
 
 def compile(s: poly.Sequent, club: Club | None = None) -> CompileReport:

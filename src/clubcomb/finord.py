@@ -17,9 +17,7 @@ import itertools
 import operator
 import re
 from collections import namedtuple
-from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
-from typing import NamedTuple
 
 from .errors import (
     ArityMismatch,
@@ -28,32 +26,6 @@ from .errors import (
     ParseError,
     VerificationFailed,
 )
-
-
-@dataclass(frozen=True)
-class FinFun:
-    """A function {1..dom} -> {1..cod}; table[j-1] is the image of j."""
-
-    dom: int
-    cod: int
-    table: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.dom < 0 or self.cod < 0:
-            raise ValueError("dom and cod must be non-negative")
-        if len(self.table) != self.dom:
-            raise ValueError(f"table has {len(self.table)} entries, dom is {self.dom}")
-        for e in self.table:
-            if not 1 <= e <= self.cod:
-                raise ValueError(f"table entry {e} outside 1..{self.cod}")
-
-    def __call__(self, j: int) -> int:
-        if not 1 <= j <= self.dom:
-            raise IndexOutOfRange(f"argument {j} outside 1..{self.dom}")
-        return self.table[j - 1]
-
-    def __str__(self) -> str:
-        return format_finfun(self)
 
 
 class GenKind(Enum):
@@ -81,29 +53,32 @@ _FAMILIES: dict[GenKind, tuple[str, str, int]] = {
     GenKind.TRANSPOSITION: ("t", "C", 0),
 }
 
-_Triple = namedtuple("_Triple", "kind n i")  # only its item getters are used
 _new = tuple.__new__
 
 
 class Record(tuple):
     """A tuple with the value semantics of a frozen dataclass whose fields
-    are its items, the base of the generators here and of poly.App, the one
-    application node of both term languages.
+    are its items: the one base of every value type in the package.
 
-    Allocated in C by tuple.__new__; subclasses read their fields through the
-    C item getters collections.namedtuple installs.  Assignment and deletion
-    raise FrozenInstanceError, a copy or unpickling calls the constructor
-    with the items, == and hash go by the items and the class, a record
-    never equals a plain tuple or a record of another class, and records are
-    not ordered.
+    A value type subclasses Record and collections.namedtuple, in that
+    order: class Var(Record, namedtuple("Var", "index")), with __slots__ =
+    ().  The namedtuple gives the keyword constructor, the C field getters
+    and the repr Var(index=1); a constructor that checks its arguments
+    overrides __new__ and builds the value with tuple.__new__.  Record gives
+    the rest: assignment and deletion raise dataclasses.FrozenInstanceError,
+    a copy or unpickling calls the constructor with the items, == and hash
+    go by the items and the class, a record never equals a plain tuple or a
+    record of another class, and records are not ordered.
     """
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError  # loaded on this error path only
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
@@ -127,7 +102,31 @@ class Record(tuple):
     __hash__ = tuple.__hash__
 
 
-class Generator(Record):
+class FinFun(Record, namedtuple("FinFun", "dom cod table")):
+    """A function {1..dom} -> {1..cod}; table[j-1] is the image of j."""
+
+    __slots__ = ()
+
+    def __new__(cls, dom: int, cod: int, table: tuple[int, ...]):
+        if dom < 0 or cod < 0:
+            raise ValueError("dom and cod must be non-negative")
+        if len(table) != dom:
+            raise ValueError(f"table has {len(table)} entries, dom is {dom}")
+        for e in table:
+            if not 1 <= e <= cod:
+                raise ValueError(f"table entry {e} outside 1..{cod}")
+        return _new(cls, (dom, cod, table))
+
+    def __call__(self, j: int) -> int:
+        if not 1 <= j <= self.dom:
+            raise IndexOutOfRange(f"argument {j} outside 1..{self.dom}")
+        return self.table[j - 1]
+
+    def __str__(self) -> str:
+        return format_finfun(self)
+
+
+class Generator(Record, namedtuple("Generator", "kind n i")):
     """One of the three generator families, identified by kind and indices.
 
     t(n,i): n -> n        swaps i and i+1             (needs n > 1, 1 <= i < n)
@@ -135,13 +134,9 @@ class Generator(Record):
     d(n,i): n-1 -> n      skips the value i           (needs 1 <= i <= n)
 
     A kind outside GenKind is a ValueError, and bad indices IndexOutOfRange.
-    A Record with the fields kind, n and i.
     """
 
     __slots__ = ()
-    kind = _Triple.kind
-    n = _Triple.n
-    i = _Triple.i
 
     def __new__(cls, kind: GenKind, n: int, i: int):
         if type(kind) is not GenKind:
@@ -150,9 +145,6 @@ class Generator(Record):
             need = "1 <= i < n, n > 1" if kind is _TRANSPOSITION else "1 <= i <= n"
             raise IndexOutOfRange(f"{_FAMILIES[kind][0]}({n},{i}) needs {need}")
         return _new(cls, (kind, n, i))
-
-    def __repr__(self) -> str:
-        return f"Generator(kind={self.kind!r}, n={self.n!r}, i={self.i!r})"
 
     def __str__(self) -> str:
         return f"{_FAMILIES[self.kind][0]}({self.n},{self.i})"
@@ -175,16 +167,12 @@ def face(n: int, i: int) -> Generator:
     return Generator(GenKind.FACE, n, i)
 
 
-class Classification(NamedTuple):
-    """The three structural properties, in a fixed order.
+Classification = namedtuple("Classification", "injective surjective monotone")
+Classification.__doc__ = """The three structural properties, in a fixed order.
 
-    A club's requirement set uses the same triple, a True entry meaning the
-    property is required, so membership is entrywise implication.
-    """
-
-    injective: bool
-    surjective: bool
-    monotone: bool
+A club's requirement set uses the same triple, a True entry meaning the
+property is required, so membership is entrywise implication.
+"""
 
 
 def classify(f: FinFun) -> Classification:

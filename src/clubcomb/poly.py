@@ -17,16 +17,14 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 
 from .errors import ArityMismatch, DuplicateContextVariable, ParseError, UndeclaredVariable
 from .finord import FinFun, Record
 
-_Pair = namedtuple("_Pair", "left right")  # only its item getters are used
 _new = tuple.__new__
 
 
-class App(Record):
+class App(Record, namedtuple("App", "left right")):
     """The application node of both term languages: polynomials over Var
     leaves, and combinator terms (comb.App is this class).
 
@@ -39,11 +37,6 @@ class App(Record):
     """
 
     __slots__ = ()
-    left = _Pair.left
-    right = _Pair.right
-
-    def __new__(cls, left, right):
-        return _new(cls, (left, right))
 
     def __reduce__(self):
         return type(self), (self.left, self.right)
@@ -69,38 +62,36 @@ class App(Record):
         return _render(self, repr, "App(left=", ", right=", ")")
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int  # 1-based position in the context
+class Var(Record, namedtuple("Var", "index")):
+    """A variable, by its 1-based position in the context."""
+
+    __slots__ = ()
 
 
 PolyTerm = Var | App
 
 
-@dataclass(frozen=True)
-class Sequent:
+class Sequent(Record, namedtuple("Sequent", "context_size term")):
     """A term in a context of context_size variables, not all of which need occur."""
 
-    context_size: int
-    term: PolyTerm
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.context_size < 0:
+    def __new__(cls, context_size: int, term: PolyTerm):
+        if context_size < 0:
             raise ValueError("context size must be non-negative")
-        for v in _leaves(self.term):
-            if not 1 <= v.index <= self.context_size:
-                raise ValueError(f"variable {v.index} outside context 1..{self.context_size}")
+        for v in _leaves(term):
+            if not 1 <= v.index <= context_size:
+                raise ValueError(f"variable {v.index} outside context 1..{context_size}")
+        return _new(cls, (context_size, term))
 
     def __str__(self) -> str:
         return format_sequent(self)
 
 
-@dataclass(frozen=True)
-class UsageDecomposition:
+class UsageDecomposition(Record, namedtuple("UsageDecomposition", "skeleton usage")):
     """skeleton: the linear term, occurrence j is Var j; usage: occurrence -> context slot."""
 
-    skeleton: PolyTerm
-    usage: FinFun
+    __slots__ = ()
 
 
 def _leaves(t) -> Iterator:

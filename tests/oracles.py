@@ -134,6 +134,13 @@ def substitute(outer: Sequent, inners: list[Sequent]) -> Sequent:
     return Sequent(offsets[-1], poly._rebuild(outer.term, lambda v: shifted[v.index - 1]))
 
 
+def fill(t, slots: list):
+    """The polynomial term t with each Var i replaced by slots[i - 1], recursively."""
+    if type(t) is Var:
+        return slots[t.index - 1]
+    return App(fill(t.left, slots), fill(t.right, slots))
+
+
 def all_bracketings(n: int, first: int = 1) -> list[poly.PolyTerm]:
     """Every linear term with n leaves, numbered from first (there are
     Catalan(n-1) of them, one per bracketing)."""

@@ -15,7 +15,7 @@ import oracles
 from clubcomb import cli, comb, compiler, finord
 from clubcomb.errors import VerificationFailed
 from clubcomb.finord import Club, FinFun, parse_finfun
-from clubcomb.poly import Var, parse, parse_with_constants
+from clubcomb.poly import parse, parse_with_constants
 from cli_corpus import CASES, JSON_CASES, run_cli
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -452,13 +452,6 @@ def test_constants_do_not_hide_a_wrong_witness(monkeypatch, capsys):
     assert capsys.readouterr() == ("", "error: internal error: verification failed\n")
 
 
-def _fill(t, slots):
-    """The polynomial term t with Var i replaced by slots[i - 1]."""
-    if type(t) is Var:
-        return slots[t.index - 1]
-    return comb.App(_fill(t.left, slots), _fill(t.right, slots))
-
-
 @pytest.mark.parametrize("text", ["x |- f (g x)", "x |- f (f x)", "x |- x a", "x |- v1 x",
                                   "x, y |- a y (b x) y", "x, y |- y (f x) (f y) c"])
 def test_printed_constants_term_computes_the_polynomial_in_the_reported_steps(text, capsys):
@@ -467,7 +460,7 @@ def test_printed_constants_term_computes_the_polynomial_in_the_reported_steps(te
     s, constants = parse_with_constants(text)
     fresh = [comb.FreeSym(f"#{j}") for j in range(1, s.context_size - len(constants) + 1)]
     result = comb.normalize(comb.apply(comb.parse_comb(printed["term"]), fresh))
-    expected = _fill(s.term, [comb.FreeSym(c) for c in constants] + fresh)
+    expected = oracles.fill(s.term, [comb.FreeSym(c) for c in constants] + fresh)
     assert (result.term, result.steps) == (expected, printed["steps"])
 
 

@@ -25,3 +25,17 @@ def test_child_interpreters_import_this_checkout():
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert Path(r.stdout.strip()).resolve() == PACKAGE / "__init__.py"
+
+
+def test_starting_the_cli_loads_no_dataclasses_typing_or_inspect():
+    # every value type is a finord.Record, so start-up needs none of the
+    # modules a dataclass or a typing.NamedTuple pulls in.  The module sets
+    # before and after the import are diffed, so a typing that site already
+    # loaded at interpreter start does not count
+    code = ("import sys; before = set(sys.modules); import clubcomb.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    added = set(r.stdout.split())
+    assert "clubcomb.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "typing", "ast", "dis"}), sorted(added)
