@@ -60,7 +60,7 @@ _PRIMS = {p.name: p for p in (B, C, K, W, I)}
 def apply(t: CombTerm, args: list[CombTerm] | tuple[CombTerm, ...]) -> CombTerm:
     """Left-nested application t a1 ... an."""
     for a in args:
-        t = App(t, a)
+        t = _new(App, (t, a))
     return t
 
 
@@ -130,7 +130,7 @@ def normalize(t: CombTerm, fuel: int = DEFAULT_FUEL) -> ReductionResult:
             # the rule of z or of the head: its first argument is the head
             # now, and its other arguments sit at r, r - 1, ...
             if name == "B":  # x y z -> x (y z)
-                args[r - 1] = App(args[r], args[r - 1])
+                args[r - 1] = _new(App, (args[r], args[r - 1]))
                 del args[r]
             elif name == "C":  # x y z -> x z y
                 args[r], args[r - 1] = args[r - 1], args[r]
@@ -197,7 +197,7 @@ def verify(candidate: CombTerm, s: poly.Sequent, fuel: int = DEFAULT_FUEL) -> tu
     the i-th symbol.  Raises FuelExhausted rather than returning a verdict
     when the budget runs out, so a timeout is never mistaken for a disproof.
     """
-    syms = [_Slot(f"v{k}") for k in range(1, s.context_size + 1)]
+    syms = [_new(_Slot, (f"v{k}",)) for k in range(1, s.context_size + 1)]
     result = normalize(apply(candidate, syms), fuel)
     if result.exhausted:
         raise FuelExhausted(f"no normal form within {result.steps} steps")

@@ -27,6 +27,8 @@ from .comb import App, CombTerm
 from .errors import ArityZero, FuelExhausted, VerificationFailed
 from .finord import Club, Generator, Record
 
+_new = tuple.__new__
+
 
 def _contractions(t: poly.PolyTerm):
     """The right turns from the root to each node of t, in reverse post-order."""
@@ -53,7 +55,7 @@ def compile_bracketing(t: poly.PolyTerm) -> CombTerm:
     """
     term = comb.I
     for turns in _contractions(t):
-        term = App(App(comb.b_power(turns), comb.B), term)
+        term = _new(App, (_new(App, (comb.b_power(turns), comb.B)), term))
     return term
 
 
@@ -79,7 +81,7 @@ def lift(a: CombTerm, g: Generator) -> CombTerm:
     prim, offset = _LIFTS[kind]
     if n + offset == 0:
         raise ArityZero("cannot lift a face into a one-argument witness")
-    return App(App(comb.b_power(i - 1), prim), a)
+    return _new(App, (_new(App, (comb.b_power(i - 1), prim)), a))
 
 
 class CompileReport(Record, namedtuple("CompileReport", (

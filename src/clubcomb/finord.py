@@ -39,9 +39,10 @@ class GenKind(Enum):
 
 
 # A member read through GenKind's metaclass costs about 0.15 us; the hot
-# loops below compare against these instead.
+# loops below use these instead.
 _TRANSPOSITION = GenKind.TRANSPOSITION
 _DEGENERACY = GenKind.DEGENERACY
+_FACE = GenKind.FACE
 
 # Each generator family, keyed in Classification order by the property its
 # generators break, so a club admits them once it drops that requirement
@@ -260,7 +261,8 @@ def factor(f: FinFun, c: Club) -> list[Generator]:
     exactly, and every emitted generator lies in c whenever f does.  factor
     recomposes the chain before returning it, raising ArityMismatch for a
     chain whose arities do not line up and VerificationFailed for one that
-    does not rebuild f, so callers need not check it again.
+    does not rebuild f, so callers need not check it again.  The scheme gives
+    valid indices by construction, so it builds past Generator's checks.
     """
     if not contains(c, f):
         minimal = minimal_club(f)
@@ -286,7 +288,7 @@ def factor(f: FinFun, c: Club) -> list[Generator]:
                 i += 1
             if i > done:
                 done = i
-        gens += [Generator(_TRANSPOSITION, m, i) for i in swaps]
+        gens += [_new(Generator, (_TRANSPOSITION, m, i)) for i in swaps]
         todo = [i - 1 for i in swaps if i > 1]
 
     # table is now monotone.  Merging the leftmost equal pair first, every
@@ -297,14 +299,14 @@ def factor(f: FinFun, c: Club) -> list[Generator]:
     for k in range(1, m):
         if table[k] == table[k - 1]:
             size -= 1
-            gens.append(degeneracy(size, rank))
+            gens.append(_new(Generator, (_DEGENERACY, size, rank)))
         else:
             rank += 1
     present = set(table)
     for v in range(1, f.cod + 1):
         if v not in present:
             rank += 1
-            gens.append(face(rank, v))
+            gens.append(_new(Generator, (_FACE, rank, v)))
 
     if recompose(gens, m) != f:
         raise VerificationFailed(f"factor({format_finfun(f)}, {c.display}) does not recompose")

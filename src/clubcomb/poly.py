@@ -117,7 +117,7 @@ def _rebuild(t, leaf: Callable):
         x = stack.pop()
         if x is None:
             right = done.pop()
-            done.append(App(done.pop(), right))
+            done.append(_new(App, (done.pop(), right)))
         elif type(x) is App:
             stack += (None, x.right, x.left)
         else:
@@ -135,7 +135,7 @@ def usage(s: Sequent) -> UsageDecomposition:
 
     def leaf(v: Var) -> Var:
         occ.append(v.index)
-        return Var(len(occ))
+        return _new(Var, (len(occ),))
 
     skeleton = _rebuild(s.term, leaf)
     return UsageDecomposition(skeleton, FinFun(len(occ), s.context_size, tuple(occ)))

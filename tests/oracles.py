@@ -20,7 +20,8 @@ exhaustion that comb.normalize must give.  The paper's algebra that no
 product path uses lives here too: identity, composition, sums, injections,
 copairing and wreath of finite functions, the functions generators denote,
 the club order, and a term's length, the numbering of its leaves 1..m,
-substitution and every linear term with n leaves.  The law tests check the
+substitution, the substitution shape that composes witnesses, variable
+multiplicities and every linear term with n leaves.  The law tests check the
 package's usage, act, classify, contains, factor and recompose against them.
 """
 
@@ -132,6 +133,25 @@ def substitute(outer: Sequent, inners: list[Sequent]) -> Sequent:
     shifted = [poly._rebuild(inner.term, lambda v: Var(v.index + by))
                for inner, by in zip(inners, offsets)]
     return Sequent(offsets[-1], poly._rebuild(outer.term, lambda v: shifted[v.index - 1]))
+
+
+def substitution_shape(widths: list[int]) -> Sequent:
+    """sigma = f, g1..gn, ys1..ysn |- f (g1 ys1) ... (gn ysn), block ysi of
+    widths[i - 1] variables.
+
+    Applied to a witness of p, then to one of each qi, a witness of sigma is
+    a witness of substitute(p, [q1..qn]): the multicategory composite.
+    """
+    n = len(widths)
+    ys = itertools.count(n + 2)
+    blocks = [apply(Var(i), [Var(next(ys)) for _ in range(k)]) for i, k in enumerate(widths, 2)]
+    return Sequent(1 + n + sum(widths), apply(Var(1), blocks))
+
+
+def multiplicities(s: Sequent) -> list[int]:
+    """How often each context variable of s occurs in its term, 0 if dropped."""
+    indices = [leaf.index for leaf in _leaves(s.term)]
+    return [indices.count(i) for i in range(1, s.context_size + 1)]
 
 
 def fill(t, slots: list):

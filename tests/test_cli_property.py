@@ -12,9 +12,10 @@ import oracles
 from clubcomb import cli, comb
 from clubcomb.poly import parse, parse_with_constants
 
-# The README's JSON keys.
-SCHEMA = {"command", "input", "usage", "skeleton", "minimal_club", "club_used",
-          "generators", "term", "verified", "steps", "error"}
+# The README's JSON key orders: a command's record, and a failed command.
+RECORD_KEYS = ["command", "input", "usage", "skeleton", "minimal_club", "club_used",
+               "generators", "term", "verified", "steps", "error"]
+FAILURE_KEYS = ["command", "input", "error", "minimal_club"]
 CLUBS = [c.value for c in cli.Club]
 
 _NAMES = ["x", "y", "z", "w"]
@@ -100,10 +101,11 @@ def test_every_command_line_keeps_the_cli_contract(case):
     assert code in (0, 1, 2, 3)
     as_json = "--json" in argv
     fields = None
-    if as_json and out:  # one JSON object, within the README's keys
+    if as_json and out:  # one JSON object, its keys in the README's order
         assert err == "" and out.endswith("\n") and out.count("\n") == 1
         fields = json.loads(out)
-        assert set(fields) <= SCHEMA
+        order = FAILURE_KEYS if code in (1, 2) else RECORD_KEYS
+        assert list(fields) == [k for k in order if k in fields]  # no other key either
         assert (fields["command"], fields["input"]) == (argv[0], text)
         assert ("error" in fields) == (code != 0)
     elif code == 0:

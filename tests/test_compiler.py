@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import clubcomb
 from clubcomb import cli, comb, finord, poly
@@ -336,6 +336,39 @@ def test_compiled_witnesses_behave_as_their_basis_combinators():
     i_like = compile(poly.parse("x |- x"), club=Club.ID).output
     ok, _ = comb.verify(i_like, poly.parse("x |- x"))
     assert ok
+
+
+# Each club's members with a non-empty domain and at most 4 points.
+_MEMBERS = {c: [f for f in oracles.universe(4) if f.dom and finord.contains(c, f)] for c in Club}
+
+
+def _polynomials_in(club):
+    """Sequents whose usage lies in club: a shape acted on by one of its members."""
+    return st.sampled_from(_MEMBERS[club]).flatmap(lambda u: st.sampled_from(
+        oracles.all_bracketings(u.dom)).map(lambda shape: poly.act(oracles.linear(shape), u)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(Club)), st.data())
+def test_witnesses_compose_and_their_steps_add(club, data):
+    # sigma's witness applied to p's and each qi's computes substitute(p, qs)
+    # in steps(sigma) + steps(p) + sum of mult_p(xi) * steps(qi): reduction
+    # copies (W) or drops (K) each qi's witness, with its block applied,
+    # before it reduces it, so each copy reduces on its own
+    p = data.draw(_polynomials_in(club))
+    qs = [data.draw(_polynomials_in(club)) for _ in range(p.context_size)]
+    shape = oracles.substitution_shape([q.context_size for q in qs])
+    sigma, *parts = [compile(s) for s in (shape, p, *qs)]
+    assert sigma.minimal_club is (Club.ID if len(qs) == 1 else Club.BIJ)
+    w = comb.apply(sigma.output, [r.output for r in parts])
+    steps = sigma.steps + parts[0].steps + sum(
+        m * r.steps for m, r in zip(oracles.multiplicities(p), parts[1:]))
+    composite = oracles.substitute(p, qs)
+    assert comb.verify(w, composite, steps) == (True, steps)
+    # Msrj and Mfun are not closed under substitution: two copies of y1 y2
+    # read y1 y2 y1 y2, so their composites may escape to Srj and Fun
+    home = {Club.MSRJ: Club.SRJ, Club.MFUN: Club.FUN}.get(club, club)
+    assert finord.contains(home, poly.usage(composite).usage)
 
 
 # Inputs parsed with constants are sequents like any other: the constants

@@ -453,6 +453,26 @@ def test_factor_generators_stay_in_club():
             assert all(g.kind in kinds for g in chain)
 
 
+def _assert_factor_emits_checked_generators(f):
+    # factor builds its generators with tuple.__new__, past Generator's
+    # index checks, so the checking constructor must accept every one
+    for c in Club:
+        if contains(c, f):
+            for g in factor(f, c):
+                assert type(g) is Generator and g == Generator(g.kind, g.n, g.i), (f, c, g)
+
+
+def test_factor_emits_only_valid_generators():
+    for f in oracles.universe(4):
+        _assert_factor_emits_checked_generators(f)
+
+
+@given(st.integers(1, 40).flatmap(
+    lambda n: st.lists(st.integers(1, n), max_size=40).map(lambda t: FinFun(len(t), n, tuple(t)))))
+def test_factor_emits_only_valid_generators_up_to_40_points(f):
+    _assert_factor_emits_checked_generators(f)
+
+
 def test_factor_roundtrip_small():
     for f in oracles.universe(3):
         for c in Club:
