@@ -176,7 +176,10 @@ def b_power(n: int) -> CombTerm:
         return I
     t: CombTerm = B
     new, app, bb = _new, App, (B, B)
-    for k in range(2, n + 1):  # App(App(B, B), t), with a new B B node per level
+    # App(App(B, B), t), with its own B B node per level rather than one
+    # shared: bench/workloads.witness_stats counts DAG nodes by id, and
+    # bench/counts.json pins that count (tests/test_bench_smoke.py).
+    for k in range(2, n + 1):
         t = new(app, (new(app, bb), t, k))
     return t
 

@@ -33,14 +33,6 @@ class ParseError(ClubCombError):
     """Input text does not match the grammar."""
 
 
-class UndeclaredVariable(ParseError):
-    """A term mentions an identifier missing from the context."""
-
-
-class DuplicateContextVariable(ParseError):
-    """The same identifier was declared twice in one context."""
-
-
 class ArityZero(ClubCombError):
     """A compilation was requested for a polynomial with no arguments."""
 

@@ -156,18 +156,6 @@ class Generator(Record, namedtuple("Generator", "kind n i")):
         return self.n + _FAMILIES[self.kind][2]
 
 
-def transposition(n: int, i: int) -> Generator:
-    return Generator(GenKind.TRANSPOSITION, n, i)
-
-
-def degeneracy(n: int, i: int) -> Generator:
-    return Generator(GenKind.DEGENERACY, n, i)
-
-
-def face(n: int, i: int) -> Generator:
-    return Generator(GenKind.FACE, n, i)
-
-
 Classification = namedtuple("Classification", "injective surjective monotone")
 Classification.__doc__ = """The three structural properties, in a fixed order.
 

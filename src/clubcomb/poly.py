@@ -18,7 +18,7 @@ import re
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 
-from .errors import ArityMismatch, DuplicateContextVariable, ParseError, UndeclaredVariable
+from .errors import ArityMismatch, ParseError
 from .finord import FinFun, Record
 
 _new = tuple.__new__
@@ -222,7 +222,7 @@ def parse_with_constants(text: str) -> tuple[Sequent, tuple[str, ...]]:
             if not _IDENT_RE.fullmatch(tok):
                 raise ParseError(f"expected a variable name in the context, got {tok!r}")
             if tok in names:
-                raise DuplicateContextVariable(f"duplicate context variable: {tok}")
+                raise ParseError(f"duplicate context variable: {tok}")
             names[tok] = len(names) + 1
         else:
             if tok != ",":
@@ -248,7 +248,7 @@ def parse(text: str) -> Sequent:
     """Parse 'x1,...,xn |- term'; every term identifier must be declared."""
     s, constants = parse_with_constants(text)
     if constants:
-        raise UndeclaredVariable(f"undeclared variable: {constants[0]}")
+        raise ParseError(f"undeclared variable: {constants[0]}")
     return s
 
 

@@ -18,7 +18,8 @@ naive_step is the one leftmost-outermost step: repeating it
 (naive_normalize) fixes the order, the step counts and the term at fuel
 exhaustion that comb.normalize must give.  The paper's algebra that no
 product path uses lives here too: identity, composition, sums, injections,
-copairing and wreath of finite functions, the functions generators denote,
+copairing and wreath of finite functions, the generators by their
+printed letters t, s and d, the functions generators denote,
 the club order, and a term's length, the numbering of its leaves 1..m,
 substitution, the substitution shape that composes witnesses, variable
 multiplicities and every linear term with n leaves.  The law tests check the
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 from clubcomb import comb, finord, poly
 from clubcomb.comb import App, CombTerm, FreeSym, Prim, apply
-from clubcomb.errors import ArityMismatch, DuplicateContextVariable, ParseError, UndeclaredVariable
+from clubcomb.errors import ArityMismatch, ParseError
 from clubcomb.finord import Club, FinFun, Generator, GenKind
 from clubcomb.poly import Sequent, Var
 
@@ -85,6 +86,20 @@ def wreath(a: FinFun, ks: list[int]) -> FinFun:
     if len(ks) != a.cod:
         raise ArityMismatch(f"{a.cod} block widths required, got {len(ks)}")
     return copair([injection(a(j), ks) for j in range(1, a.dom + 1)], sum(ks))
+
+
+# The three generator families by the letters they print with: t(n,i),
+# s(n,i) and d(n,i) build a transposition, degeneracy and face.
+def t(n: int, i: int) -> Generator:
+    return Generator(GenKind.TRANSPOSITION, n, i)
+
+
+def s(n: int, i: int) -> Generator:
+    return Generator(GenKind.DEGENERACY, n, i)
+
+
+def d(n: int, i: int) -> Generator:
+    return Generator(GenKind.FACE, n, i)
 
 
 def make_generator(g: Generator) -> FinFun:
@@ -258,14 +273,14 @@ def legal_generators(max_size: int) -> list[Generator]:
     gens: list[Generator] = []
     for n in range(2, max_size + 1):
         for i in range(1, n):
-            gens.append(finord.transposition(n, i))
+            gens.append(t(n, i))
     for n in range(1, max_size + 1):  # s(n,i): n+1 -> n needs n+1 <= max_size
         if n + 1 <= max_size:
             for i in range(1, n + 1):
-                gens.append(finord.degeneracy(n, i))
+                gens.append(s(n, i))
     for n in range(1, max_size + 1):  # d(n,i): n-1 -> n
         for i in range(1, n + 1):
-            gens.append(finord.face(n, i))
+            gens.append(d(n, i))
     return gens
 
 
@@ -434,7 +449,7 @@ def _parse_surface(text: str) -> tuple[list[str], _SVar | _SApp]:
             if not _IDENT_RE.fullmatch(tok):
                 raise ParseError(f"expected a variable name in the context, got {tok!r}")
             if tok in names:
-                raise DuplicateContextVariable(f"duplicate context variable: {tok}")
+                raise ParseError(f"duplicate context variable: {tok}")
             names.append(tok)
         else:
             if tok != ",":
@@ -514,7 +529,7 @@ def naive_parse(text: str) -> Sequent:
     """Parse 'x1,...,xn |- term'; every term identifier must be declared."""
     s, constants = naive_parse_with_constants(text)
     if constants:
-        raise UndeclaredVariable(f"undeclared variable: {constants[0]}")
+        raise ParseError(f"undeclared variable: {constants[0]}")
     return s
 
 

@@ -160,18 +160,18 @@ def test_criterion_06_lifts_match_action():
             s = oracles.linear(shape)
             witness = compiler.compile_bracketing(shape)
             for i in range(1, k):
-                g = finord.transposition(k, i)
+                g = oracles.t(k, i)
                 lifted = compiler.lift(witness, g)
                 assert oracles.naive_primitives(lifted) <= {"B", "C", "I"}
                 _check_lift(lifted, s, g)
             for i in range(1, k + 2):
-                g = finord.face(k + 1, i)
+                g = oracles.d(k + 1, i)
                 lifted = compiler.lift(witness, g)
                 assert oracles.naive_primitives(lifted) <= {"B", "K", "I"}
                 _check_lift(lifted, s, g)
             if k >= 2:
                 for i in range(1, k):
-                    g = finord.degeneracy(k - 1, i)
+                    g = oracles.s(k - 1, i)
                     lifted = compiler.lift(witness, g)
                     assert oracles.naive_primitives(lifted) <= {"B", "W", "I"}
                     _check_lift(lifted, s, g)

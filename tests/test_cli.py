@@ -244,10 +244,12 @@ def test_started_without_stdout_refuses_in_one_line(argv):
 
 # Makes finord.recompose judge every chain as if it were a wrong one, then
 # runs the CLI with assertions stripped (-O): the check inside factor must
-# still refuse the chain.
+# still refuse the chain.  The chain is written with generators t and d.
 _WRONG_CHAIN = """
 import sys
 from clubcomb import cli, finord
+def t(n, i): return finord.Generator(finord.GenKind.TRANSPOSITION, n, i)
+def d(n, i): return finord.Generator(finord.GenKind.FACE, n, i)
 recompose = finord.recompose
 finord.recompose = lambda chain, dom: recompose({chain}, dom)
 sys.exit(cli.main(sys.argv[1:]))
@@ -256,9 +258,9 @@ sys.exit(cli.main(sys.argv[1:]))
 
 @pytest.mark.parametrize("argv,chain", [
     (["factor", "2->2:[2,1]"], "[]"),
-    (["compile", "x, y |- y x"], "[finord.transposition(3, 1)]"),
-    (["compile", "x, y |- y x"], "[finord.face(3, 3)]"),
-    (["compile", "x, y |- x y"], "[finord.transposition(2, 1)] * 3"),
+    (["compile", "x, y |- y x"], "[t(3, 1)]"),
+    (["compile", "x, y |- y x"], "[d(3, 3)]"),
+    (["compile", "x, y |- x y"], "[t(2, 1)] * 3"),
 ])
 def test_wrong_factor_chain_is_internal_error_without_asserts(argv, chain):
     code = _WRONG_CHAIN.format(chain=chain)

@@ -317,6 +317,8 @@ def test_b_power_terms():
     assert b_power(1) == B
     assert b_power(2) == App(App(B, B), B)
     assert b_power(3) == App(App(B, B), App(App(B, B), B))
+    with pytest.raises(ValueError, match=r"^negative power$"):
+        b_power(-1)
 
 
 def test_b_power_composition_law():

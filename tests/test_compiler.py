@@ -72,42 +72,42 @@ def test_compile_bracketing_matches_the_contraction_reference(shape):
 
 def test_lift_transposition_structure_and_behavior():
     a = FreeSym("a")
-    assert lift(a, finord.transposition(2, 1)) == App(App(I, C), a)
-    assert lift(B, finord.transposition(3, 2)) == App(App(B, C), B)
-    w = lift(compile_bracketing(App(Var(1), Var(2))), finord.transposition(2, 1))
+    assert lift(a, oracles.t(2, 1)) == App(App(I, C), a)
+    assert lift(B, oracles.t(3, 2)) == App(App(B, C), B)
+    w = lift(compile_bracketing(App(Var(1), Var(2))), oracles.t(2, 1))
     ok, _ = comb.verify(w, poly.parse("x1,x2 |- x2 x1"))
     assert ok
 
 
 def test_lift_face_structure_and_behavior():
-    assert lift(I, finord.face(2, 2)) == App(App(B, K), I)
-    ok, _ = comb.verify(lift(I, finord.face(2, 2)), poly.parse("x1,x2 |- x1"))
+    assert lift(I, oracles.d(2, 2)) == App(App(B, K), I)
+    ok, _ = comb.verify(lift(I, oracles.d(2, 2)), poly.parse("x1,x2 |- x1"))
     assert ok
-    assert lift(I, finord.face(2, 1)) == App(App(I, K), I)
-    ok, _ = comb.verify(lift(I, finord.face(2, 1)), poly.parse("x1,x2 |- x2"))
+    assert lift(I, oracles.d(2, 1)) == App(App(I, K), I)
+    ok, _ = comb.verify(lift(I, oracles.d(2, 1)), poly.parse("x1,x2 |- x2"))
     assert ok
 
 
 def test_lift_degeneracy_structure_and_behavior():
     a = FreeSym("a")
-    assert lift(a, finord.degeneracy(2, 2)) == App(App(B, W), a)
-    assert lift(I, finord.degeneracy(1, 1)) == App(App(I, W), I)
-    ok, _ = comb.verify(lift(I, finord.degeneracy(1, 1)), poly.parse("x |- x x"))
+    assert lift(a, oracles.s(2, 2)) == App(App(B, W), a)
+    assert lift(I, oracles.s(1, 1)) == App(App(I, W), I)
+    ok, _ = comb.verify(lift(I, oracles.s(1, 1)), poly.parse("x |- x x"))
     assert ok
 
 
 def test_lift_index_validation():
     with pytest.raises(IndexOutOfRange):
-        lift(I, finord.transposition(2, 2))
+        lift(I, oracles.t(2, 2))
     with pytest.raises(IndexOutOfRange):
-        lift(I, finord.face(2, 3))
+        lift(I, oracles.d(2, 3))
     with pytest.raises(IndexOutOfRange):
-        lift(I, finord.degeneracy(2, 0))
+        lift(I, oracles.s(2, 0))
 
 
 def test_lift_face_arity_zero():
     with pytest.raises(ArityZero):
-        lift(I, finord.face(1, 1))
+        lift(I, oracles.d(1, 1))
 
 
 # Each family's letter, lifting combinator and domain minus n, written out
@@ -144,18 +144,18 @@ def test_lifts_match_action_on_all_small_bracketings():
             s = oracles.linear(shape)
             a = compile_bracketing(shape)
             for i in range(1, n):
-                g = finord.transposition(n, i)
+                g = oracles.t(n, i)
                 acted = poly.act(s, oracles.make_generator(g))
                 ok, _ = comb.verify(lift(a, g), acted)
                 assert ok
             for i in range(1, n + 2):
-                g = finord.face(n + 1, i)
+                g = oracles.d(n + 1, i)
                 acted = poly.act(s, oracles.make_generator(g))
                 ok, _ = comb.verify(lift(a, g), acted)
                 assert ok
             if n >= 2:
                 for i in range(1, n):
-                    g = finord.degeneracy(n - 1, i)
+                    g = oracles.s(n - 1, i)
                     acted = poly.act(s, oracles.make_generator(g))
                     ok, _ = comb.verify(lift(a, g), acted)
                     assert ok
@@ -173,7 +173,7 @@ def test_compile_identity_usage():
 def test_compile_swap():
     report = compile(poly.parse("x1,x2 |- x2 x1"))
     assert report.club_used is Club.BIJ
-    assert report.generator_chain == (finord.transposition(2, 1),)
+    assert report.generator_chain == (oracles.t(2, 1),)
     assert report.output == App(App(I, C), App(App(I, B), I))
     assert report.verified
 
@@ -181,7 +181,7 @@ def test_compile_swap():
 def test_compile_duplication():
     report = compile(poly.parse("x1,x2 |- x1 x1"))
     assert report.club_used is Club.MFUN
-    assert report.generator_chain == (finord.degeneracy(1, 1), finord.face(2, 2))
+    assert report.generator_chain == (oracles.s(1, 1), oracles.d(2, 2))
     assert report.verified
     assert oracles.naive_primitives(report.output) <= finord.basis(Club.MFUN)
 
@@ -219,12 +219,12 @@ def test_compile_checks_the_chain_before_lifting_it(monkeypatch):
     recompose = finord.recompose
     # well typed but wrong: factor's chain judged as three swaps of an identity usage
     monkeypatch.setattr(finord, "recompose",
-                        lambda chain, dom: recompose([finord.transposition(2, 1)] * 3, dom))
+                        lambda chain, dom: recompose([oracles.t(2, 1)] * 3, dom))
     with pytest.raises(VerificationFailed, match=r"^factor\(2->2:\[1,2\], Id\) does not recompose$"):
         compile(s)
     # ill typed: the swap needs three arguments
     monkeypatch.setattr(finord, "recompose",
-                        lambda chain, dom: recompose([finord.transposition(3, 1)], dom))
+                        lambda chain, dom: recompose([oracles.t(3, 1)], dom))
     with pytest.raises(ArityMismatch):
         compile(s)
 

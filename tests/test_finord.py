@@ -25,8 +25,6 @@ from clubcomb.finord import (
     basis,
     classify,
     contains,
-    degeneracy,
-    face,
     factor,
     format_finfun,
     generator_kinds,
@@ -34,17 +32,19 @@ from clubcomb.finord import (
     parse_finfun,
     recompose,
     required_properties,
-    transposition,
 )
 import oracles
 from oracles import (
     add,
     copair,
+    d,
     identity,
     injection,
     leq,
     make_generator,
     pointwise_compose,
+    s,
+    t,
     wreath,
 )
 
@@ -67,8 +67,8 @@ def test_identity_tables():
 
 
 def test_compose_examples():
-    s11 = make_generator(degeneracy(1, 1))
-    t21 = make_generator(transposition(2, 1))
+    s11 = make_generator(s(1, 1))
+    t21 = make_generator(t(2, 1))
     assert pointwise_compose(s11, t21) == FinFun(2, 1, (1, 1))
     g, f = FinFun(3, 2, (1, 1, 2)), FinFun(3, 3, (3, 1, 2))
     assert pointwise_compose(g, f) == FinFun(3, 2, (2, 1, 1))
@@ -86,10 +86,10 @@ def test_compose_identity_laws(f):
 
 
 def test_add_examples():
-    t21 = make_generator(transposition(2, 1))
+    t21 = make_generator(t(2, 1))
     assert add(t21, identity(1)) == FinFun(3, 3, (2, 1, 3))
-    d11 = make_generator(face(1, 1))  # the empty map into one point
-    s11 = make_generator(degeneracy(1, 1))
+    d11 = make_generator(d(1, 1))  # the empty map into one point
+    s11 = make_generator(s(1, 1))
     assert add(d11, s11) == FinFun(2, 2, (2, 2))
 
 
@@ -136,9 +136,9 @@ def test_copair_restricts_to_components():
 
 
 def test_wreath_examples():
-    t21 = make_generator(transposition(2, 1))
+    t21 = make_generator(t(2, 1))
     assert wreath(t21, [2, 3]) == FinFun(5, 5, (3, 4, 5, 1, 2))
-    s11 = make_generator(degeneracy(1, 1))
+    s11 = make_generator(s(1, 1))
     assert wreath(s11, [2]) == FinFun(4, 2, (1, 2, 1, 2))
 
 
@@ -158,21 +158,21 @@ def test_wreath_width_count_must_match():
 
 
 def test_make_generator_tables():
-    assert make_generator(transposition(3, 1)) == FinFun(3, 3, (2, 1, 3))
-    assert make_generator(transposition(3, 2)) == FinFun(3, 3, (1, 3, 2))
-    assert make_generator(degeneracy(2, 1)) == FinFun(3, 2, (1, 1, 2))
-    assert make_generator(degeneracy(2, 2)) == FinFun(3, 2, (1, 2, 2))
-    assert make_generator(face(3, 2)) == FinFun(2, 3, (1, 3))
-    assert make_generator(face(1, 1)) == FinFun(0, 1, ())
+    assert make_generator(t(3, 1)) == FinFun(3, 3, (2, 1, 3))
+    assert make_generator(t(3, 2)) == FinFun(3, 3, (1, 3, 2))
+    assert make_generator(s(2, 1)) == FinFun(3, 2, (1, 1, 2))
+    assert make_generator(s(2, 2)) == FinFun(3, 2, (1, 2, 2))
+    assert make_generator(d(3, 2)) == FinFun(2, 3, (1, 3))
+    assert make_generator(d(1, 1)) == FinFun(0, 1, ())
 
 
 def test_generator_index_validation():
     for make, n, i, message in [
-        (transposition, 1, 1, "t(1,1) needs 1 <= i < n, n > 1"),
-        (transposition, 3, 3, "t(3,3) needs 1 <= i < n, n > 1"),
-        (degeneracy, 2, 3, "s(2,3) needs 1 <= i <= n"),
-        (degeneracy, 0, 1, "s(0,1) needs 1 <= i <= n"),
-        (face, 2, 0, "d(2,0) needs 1 <= i <= n"),
+        (t, 1, 1, "t(1,1) needs 1 <= i < n, n > 1"),
+        (t, 3, 3, "t(3,3) needs 1 <= i < n, n > 1"),
+        (s, 2, 3, "s(2,3) needs 1 <= i <= n"),
+        (s, 0, 1, "s(0,1) needs 1 <= i <= n"),
+        (d, 2, 0, "d(2,0) needs 1 <= i <= n"),
     ]:
         with pytest.raises(IndexOutOfRange) as e:
             make(n, i)
@@ -189,6 +189,15 @@ def test_generator_index_validation():
         assert str(e.value) == f"{letters[kind]}({n},{i}) needs {need}"
 
 
+def test_finfun_call_checks_its_argument():
+    f = FinFun(2, 2, (2, 1))
+    assert (f(1), f(2)) == (2, 1)
+    for j in (0, 3):
+        with pytest.raises(IndexOutOfRange) as e:
+            f(j)
+        assert str(e.value) == f"argument {j} outside 1..2"
+
+
 def test_generator_rejects_kinds_outside_genkind():
     # before any index check, so no kind can fail later in str or dom
     for kind in ("transposition", "x", None, 0, ["face"], GenKind):
@@ -199,17 +208,17 @@ def test_generator_rejects_kinds_outside_genkind():
 
 
 def test_generators_are_values_apart_from_tuples_and_terms():
-    g = transposition(3, 1)
+    g = t(3, 1)
     assert repr(g) == "Generator(kind=<GenKind.TRANSPOSITION: 'transposition'>, n=3, i=1)"
-    assert repr(face(4, 4)) == "Generator(kind=<GenKind.FACE: 'face'>, n=4, i=4)"
+    assert repr(d(4, 4)) == "Generator(kind=<GenKind.FACE: 'face'>, n=4, i=4)"
     assert (g.kind, g.n, g.i, g.dom) == (GenKind.TRANSPOSITION, 3, 1, 3)
-    assert (degeneracy(2, 1).dom, face(3, 3).dom) == (3, 2)
+    assert (s(2, 1).dom, d(3, 3).dom) == (3, 2)
     # == and hash go by (kind, n, i)
     same = Generator(GenKind.TRANSPOSITION, 3, 1)
     assert g == same and not g != same and hash(g) == hash(same) and {g: 1}[same] == 1
-    for other in (transposition(3, 2), transposition(4, 1), degeneracy(3, 1), face(3, 1)):
+    for other in (t(3, 2), t(4, 1), s(3, 1), d(3, 1)):
         assert g != other and not g == other
-    assert len({g, same, transposition(3, 2), degeneracy(2, 1), degeneracy(2, 1)}) == 3
+    assert len({g, same, t(3, 2), s(2, 1), s(2, 1)}) == 3
     # never equal to a plain tuple, a term node, or anything else
     others = [(GenKind.TRANSPOSITION, 3, 1), tuple(g), [GenKind.TRANSPOSITION, 3, 1],
               poly.App(poly.Var(3), poly.Var(1)), comb.b_power(3),
@@ -217,7 +226,7 @@ def test_generators_are_values_apart_from_tuples_and_terms():
     for other in others:
         assert not g == other and not other == g and g != other and other != g
     # not ordered, whatever the other operand
-    for a, b in [(g, g), (g, transposition(3, 2)), (g, (GenKind.TRANSPOSITION, 3, 2)),
+    for a, b in [(g, g), (g, t(3, 2)), (g, (GenKind.TRANSPOSITION, 3, 2)),
                  ((GenKind.TRANSPOSITION, 3, 2), g), (g, comb.b_power(2)), (g, 1)]:
         for order in (operator.lt, operator.le, operator.gt, operator.ge):
             with pytest.raises(TypeError):
@@ -227,21 +236,21 @@ def test_generators_are_values_apart_from_tuples_and_terms():
     with pytest.raises(FrozenInstanceError):
         del g.i
     assert g.n == 3
-    for gen in (g, degeneracy(2, 1), face(3, 3)):
+    for gen in (g, s(2, 1), d(3, 3)):
         for copied in (copy.copy(gen), copy.deepcopy(gen), pickle.loads(pickle.dumps(gen))):
             assert copied == gen and type(copied) is Generator and str(copied) == str(gen)
 
 
 def test_generator_notation():
-    assert str(transposition(3, 1)) == "t(3,1)"
-    assert str(degeneracy(2, 1)) == "s(2,1)"
-    assert str(face(3, 2)) == "d(3,2)"
+    assert str(t(3, 1)) == "t(3,1)"
+    assert str(s(2, 1)) == "s(2,1)"
+    assert str(d(3, 2)) == "d(3,2)"
 
 
 def test_generator_minimal_clubs():
-    assert minimal_club(make_generator(transposition(4, 2))) is Club.BIJ
-    assert minimal_club(make_generator(degeneracy(3, 1))) is Club.MSRJ
-    assert minimal_club(make_generator(face(3, 3))) is Club.MINJ
+    assert minimal_club(make_generator(t(4, 2))) is Club.BIJ
+    assert minimal_club(make_generator(s(3, 1))) is Club.MSRJ
+    assert minimal_club(make_generator(d(3, 3))) is Club.MINJ
 
 
 def test_classify_examples():
@@ -398,7 +407,7 @@ def test_bases_of_wreath_closed_clubs_compute_only_their_members(data):
 def test_wreath_escapes_monotone_clubs_on_merged_blocks():
     # s(1,1) is a monotone surjection, but doubling its single codomain
     # point yields [1,2,1,2]: still surjective, no longer monotone.
-    s11 = make_generator(degeneracy(1, 1))
+    s11 = make_generator(s(1, 1))
     w = wreath(s11, [2])
     assert w == FinFun(4, 2, (1, 2, 1, 2))
     assert contains(Club.MSRJ, s11) and contains(Club.MFUN, s11)
@@ -420,15 +429,15 @@ def test_wreath_stays_monotone_on_thin_blocks():
 def test_factor_example_srj():
     f = FinFun(3, 2, (2, 1, 1))
     chain = factor(f, Club.SRJ)
-    assert chain == [transposition(3, 1), transposition(3, 2), degeneracy(2, 1)]
+    assert chain == [t(3, 1), t(3, 2), s(2, 1)]
     assert oracles.recompose(chain, f.dom) == f
 
 
 def test_factor_example_minj():
     f = FinFun(1, 2, (1,))
-    assert factor(f, Club.MINJ) == [face(2, 2)]
+    assert factor(f, Club.MINJ) == [d(2, 2)]
     f = FinFun(1, 2, (2,))
-    assert factor(f, Club.MINJ) == [face(2, 1)]
+    assert factor(f, Club.MINJ) == [d(2, 1)]
 
 
 def test_factor_identity_is_empty():
@@ -492,7 +501,7 @@ def test_factor_transpositions_match_a_full_bubble_sort():
     # later passes start only next to the last pass's swaps: same swaps, same order
     def check(f, c):
         swaps = oracles.bubble_transpositions(f.table)
-        expected = [transposition(f.dom, i) for i in swaps]
+        expected = [t(f.dom, i) for i in swaps]
         got = [g for g in factor(f, c) if g.kind is GenKind.TRANSPOSITION]
         assert got == expected, (f, c)
         assert [(type(g), g.n, g.i) for g in got] == [(Generator, f.dom, i) for i in swaps]

@@ -11,7 +11,7 @@ import pytest
 from clubcomb.comb import FreeSym, Prim, ReductionResult, _Slot, normalize, parse_comb
 from clubcomb.compiler import CompileReport, compile
 from clubcomb.errors import IndexOutOfRange
-from clubcomb.finord import Classification, FinFun, Generator, GenKind, Record, classify, face
+from clubcomb.finord import Classification, FinFun, Generator, GenKind, Record, classify
 from clubcomb.poly import App, Sequent, UsageDecomposition, Var, parse, usage
 
 # One value of each record type, with the repr the frozen dataclass printed
@@ -35,7 +35,7 @@ RECORDS = [
      " output=App(left=App(left=Prim(name='I'), right=Prim(name='C')),"
      " right=App(left=App(left=Prim(name='I'), right=Prim(name='B')), right=Prim(name='I'))),"
      " verified=True, steps=5)"),
-    (face(4, 4), "Generator(kind=<GenKind.FACE: 'face'>, n=4, i=4)"),
+    (Generator(GenKind.FACE, 4, 4), "Generator(kind=<GenKind.FACE: 'face'>, n=4, i=4)"),
     (App(Prim("B"), FreeSym("x")), "App(left=Prim(name='B'), right=FreeSym(name='x'))"),
 ]
 VALUES = [x for x, _ in RECORDS]
