@@ -17,12 +17,7 @@ import sys
 from operator import attrgetter
 
 from . import comb, compiler, finord, poly
-from .errors import (
-    ArityZero,
-    ClubCombError,
-    ClubViolation,
-    ParseError,
-)
+from .errors import ClubCombError, ClubViolation, ParseError
 from .finord import Club, FinFun
 
 EXIT_OK = 0
@@ -209,7 +204,7 @@ def _cmd_compile(ns) -> int:
     club = Club(ns.club) if ns.club else None
     s, constants = _parse_input(ns)
     if len(constants) == s.context_size:  # nothing would be left to apply the term to
-        raise ArityZero("the term contains constants only; no variables remain")
+        return _fail(ns, EXIT_USAGE, "the term contains constants only; no variables remain")
     for name in constants:
         if name in comb.PRIM_NAMES:
             raise ParseError(f"constant {name} would print as the primitive {name}; rename it")
@@ -286,7 +281,7 @@ def _run(argv: list[str]) -> int:
         return _COMMANDS[ns.command][0](ns)
     except BrokenPipeError:  # the reader left, nothing failed: main answers it
         raise
-    except (ParseError, ArityZero) as e:
+    except ParseError as e:
         return _fail(ns, EXIT_USAGE, str(e))
     except ClubViolation as e:
         return _fail(ns, EXIT_CLUB, str(e), minimal=e.minimal)

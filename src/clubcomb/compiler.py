@@ -13,8 +13,10 @@ The pipeline mirrors the constructive completeness argument:
      (degeneracy);
   4. the finished term is verified by symbolic reduction against the input.
 
-Step 3 is sound because [t]a then [.]g equals [t](g;a): folding the factor
-chain in application order rebuilds exactly the usage function.
+Steps 2 and 3 build the same node, B^k P a, where a contraction is a lift
+of B, so witness builds both in one fold.  Step 3 is sound because [t]a
+then [.]g equals [t](g;a): folding the factor chain in application order
+rebuilds exactly the usage function.
 """
 
 from __future__ import annotations
@@ -24,64 +26,57 @@ from collections import namedtuple
 
 from . import comb, finord, poly
 from .comb import App, CombTerm
-from .errors import ArityZero, FuelExhausted, VerificationFailed
+from .errors import FuelExhausted, VerificationFailed
 from .finord import Club, Generator, Record
 
 _new = tuple.__new__
 
 
-def _contractions(t: poly.PolyTerm):
-    """The right turns from the root to each node of t, in reverse post-order."""
-    stack = [(t, 0)]  # (subtree, right turns from the root)
+# Per generator family, comb's own C, K or W, never a fresh Prim, so every
+# lift through a family shares one leaf object.
+_LIFTING = {kind: getattr(comb, name) for kind, (_, name, _) in finord._FAMILIES.items()}
+
+
+def _pairs(skeleton: poly.PolyTerm, chain: tuple[Generator, ...]):
+    """The (k, P) of each node B^k P a of the witness, innermost first.
+
+    The skeleton comes first.  A single occurrence is I.  Otherwise the
+    leftmost node whose children are both leaves covers occurrences i, i+1;
+    contracting it to a leaf gives a shorter shape with witness a, and
+    B^(i-1) B a computes the original: a contraction is a lift of B.  Those
+    contractions meet the nodes in post-order, and by then every subtree
+    left of a node's path from the root is one leaf, so its i - 1 is the
+    number of right turns on that path.  The innermost witness belongs to
+    the last contraction, so the nodes are read in reverse post-order.
+
+    Then each generator g of the chain, in application order, lifts a
+    witness of arity g.dom to B^(i-1) P a, with P C for a transposition, K
+    for a face (the new witness discards its i-th argument) and W for a
+    degeneracy.
+    """
+    stack = [(skeleton, 0)]  # (subtree, right turns from the root)
     while stack:
         node, turns = stack.pop()
         if type(node) is App:
-            yield turns
+            yield turns, comb.B
             stack += ((node.left, turns), (node.right, turns + 1))
+    for kind, _, i in chain:
+        yield i - 1, _LIFTING[kind]
 
 
-def compile_bracketing(t: poly.PolyTerm) -> CombTerm:
-    """A closed B/I term computing the ordered linear polynomial with the
-    shape of t; only t's bracketing is read, not its leaves.
+def witness(skeleton: poly.PolyTerm, chain: tuple[Generator, ...]) -> tuple[CombTerm, int]:
+    """The closed witness of the skeleton acted on by the chain's generators,
+    and its number of primitive leaves.
 
-    A single occurrence is I.  Otherwise the leftmost node whose children are
-    both leaves covers occurrences i, i+1; contracting it to a leaf gives a
-    shorter shape with witness a, and B^(i-1) B a computes the original.
-
-    Those contractions meet the nodes of t in post-order, and by then every
-    subtree left of a node's path from the root is one leaf, so its i - 1 is
-    the number of right turns on that path.  The innermost witness belongs
-    to the last contraction, so the nodes are read in reverse post-order.
+    Each (k, P) pair wraps the term in B^k P, built with a fresh b_power(k):
+    B^k has max(2k - 1, 1) primitives, so the pair adds 2k of them, or 2
+    when k is 0.
     """
-    term = comb.I
-    for turns in _contractions(t):
-        term = _new(App, (_new(App, (comb.b_power(turns), comb.B)), term))
-    return term
-
-
-def _added_leaves(k: int) -> int:
-    """The primitive leaves B^k P a has beyond a's: B^k has max(2k - 1, 1)."""
-    return 2 * k if k else 2
-
-
-# Per generator family: comb's own C, K or W, never a fresh Prim, so every
-# lift shares one leaf object, and the family's domain minus n.
-_LIFTS = {kind: (getattr(comb, name), offset)
-          for kind, (_, name, offset) in finord._FAMILIES.items()}
-
-
-def lift(a: CombTerm, g: Generator) -> CombTerm:
-    """From a witness a of f (arity g.dom) to one of f o g: B^(i-1) P a.
-
-    P is C for a transposition, K for a face (the new witness discards its
-    i-th argument) and W for a degeneracy.  The face d(1,1) would need a
-    witness of arity 0, which no polynomial has.
-    """
-    kind, n, i = g
-    prim, offset = _LIFTS[kind]
-    if n + offset == 0:
-        raise ArityZero("cannot lift a face into a one-argument witness")
-    return _new(App, (_new(App, (comb.b_power(i - 1), prim)), a))
+    term, leaves = comb.I, 1
+    for k, prim in _pairs(skeleton, chain):
+        term = _new(App, (_new(App, (comb.b_power(k), prim)), term))
+        leaves += 2 * k if k else 2
+    return term, leaves
 
 
 class CompileReport(Record, namedtuple("CompileReport", (
@@ -115,9 +110,8 @@ def compile(s: poly.Sequent, club: Club | None = None) -> CompileReport:
     w v1 ... vn on one private symbol per context slot, and compile is its
     only judge: it returns a report only when the check passed, and raises
     VerificationFailed otherwise.  Every primitive of the witness fires
-    exactly once when it is verified, so the fold counts them (B^k has
-    max(2k - 1, 1), and each lift or contraction adds one) and that count is
-    the exact reduction budget.  Running out of it, taking any other number
+    exactly once when it is verified, so the count witness returns is the
+    exact reduction budget.  Running out of it, taking any other number
     of steps, or reaching a normal form other than the input's all fail.
 
     The cyclic garbage collector is paused while the witness is built and
@@ -134,11 +128,7 @@ def compile(s: poly.Sequent, club: Club | None = None) -> CompileReport:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        term = compile_bracketing(skeleton)
-        leaves = 1 + sum(_added_leaves(turns) for turns in _contractions(skeleton))
-        for g in chain:
-            term = lift(term, g)
-            leaves += _added_leaves(g.i - 1)
+        term, leaves = witness(skeleton, chain)
         try:
             correct, steps = comb.verify(term, s, leaves)
         except FuelExhausted as e:

@@ -33,10 +33,6 @@ class ParseError(ClubCombError):
     """Input text does not match the grammar."""
 
 
-class ArityZero(ClubCombError):
-    """A compilation was requested for a polynomial with no arguments."""
-
-
 class VerificationFailed(ClubCombError):
     """A computed result failed its check: a compiled witness its reduction,
     or a generator chain its recomposition to the function it factors."""

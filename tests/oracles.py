@@ -6,13 +6,14 @@ tricks, breadth-first closure instead of predicate tests, a rewrite of the
 whole term per reduction step instead of a spine-stack machine, a recursive
 parser through a named syntax tree instead of one stack parse that counts
 the constants first, recursion instead of one explicit-stack renderer for
-repr and shapes, repeated leftmost contraction instead of one pass over
-the shape, isinstance tests over a generic leaf walk instead of exact
-type dispatch, a walk down each B B spine instead of the power b_power
-stores in each node it builds, full bubble passes instead of passes that
-start next to the last swaps, and painting every cell of every line instead
-of summing runs.  Tests compare the two routes, so a shared bug would have
-to be made twice in different shapes.
+repr and shapes, repeated leftmost contraction and then one lift per
+generator instead of one pass over the shape and chain, isinstance tests
+over a generic leaf walk instead of exact type dispatch, a walk down each
+B B spine instead of the power b_power stores in each node it builds, full
+bubble passes instead of passes that start next to the last swaps, and
+painting every cell of every line instead of summing runs.  Tests compare
+the two routes, so a shared bug would have to be made twice in different
+shapes.
 
 naive_step is the one leftmost-outermost step: repeating it
 (naive_normalize) fixes the order, the step counts and the term at fuel
@@ -568,6 +569,25 @@ def _contract_leftmost(t: App) -> tuple[poly.PolyTerm, int]:
     got = rec(t, 0)
     assert got is not None, "every node with two or more leaves contains a leaf-leaf node"
     return got
+
+
+# The combinator each generator family lifts through, written out apart
+# from the finord table the compiler reads.
+_LIFTING = {GenKind.TRANSPOSITION: comb.C, GenKind.FACE: comb.K, GenKind.DEGENERACY: comb.W}
+
+
+def lift(a: CombTerm, g: Generator) -> CombTerm:
+    """From a witness a of f (arity g.dom) to one of f o g: B^(i-1) P a."""
+    return comb.apply(comb.b_power(g.i - 1), [_LIFTING[g.kind], a])
+
+
+def naive_witness(skeleton, chain) -> CombTerm:
+    """The skeleton's contraction witness lifted through each generator in
+    application order."""
+    term = naive_compile_bracketing(skeleton)
+    for g in chain:
+        term = lift(term, g)
+    return term
 
 
 def _leaves(t) -> Iterator:

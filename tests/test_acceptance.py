@@ -145,7 +145,7 @@ def test_criterion_05_bracketing_witnesses():
     for k in range(1, 7):
         for shape in oracles.all_bracketings(k):
             total += 1
-            witness = compiler.compile_bracketing(shape)
+            witness, _ = compiler.witness(shape, ())
             assert oracles.naive_primitives(witness) <= {"B", "I"}
             ok, steps = comb.verify(witness, oracles.linear(shape))
             _cheap(steps)
@@ -157,31 +157,25 @@ def test_criterion_05_bracketing_witnesses():
 def test_criterion_06_lifts_match_action():
     for k in range(1, 5):
         for shape in oracles.all_bracketings(k):
-            s = oracles.linear(shape)
-            witness = compiler.compile_bracketing(shape)
+            witness, _ = compiler.witness(shape, ())
             for i in range(1, k):
-                g = oracles.t(k, i)
-                lifted = compiler.lift(witness, g)
-                assert oracles.naive_primitives(lifted) <= {"B", "C", "I"}
-                _check_lift(lifted, s, g)
+                _check_lift(shape, witness, oracles.t(k, i), {"B", "C", "I"})
             for i in range(1, k + 2):
-                g = oracles.d(k + 1, i)
-                lifted = compiler.lift(witness, g)
-                assert oracles.naive_primitives(lifted) <= {"B", "K", "I"}
-                _check_lift(lifted, s, g)
-            if k >= 2:
-                for i in range(1, k):
-                    g = oracles.s(k - 1, i)
-                    lifted = compiler.lift(witness, g)
-                    assert oracles.naive_primitives(lifted) <= {"B", "W", "I"}
-                    _check_lift(lifted, s, g)
+                _check_lift(shape, witness, oracles.d(k + 1, i), {"B", "K", "I"})
+            for i in range(1, k):
+                _check_lift(shape, witness, oracles.s(k - 1, i), {"B", "W", "I"})
 
 
-def _check_lift(lifted, s, g):
-    acted = poly.act(s, oracles.make_generator(g))
-    ok, steps = comb.verify(lifted, acted)
+def _check_lift(shape, witness, g, basis):
+    # the one builder's lift of the bracketing witness is the reference
+    # B^(i-1) P witness, and it computes the acted polynomial
+    lifted, leaves = compiler.witness(shape, (g,))
+    assert lifted == oracles.lift(witness, g)
+    assert oracles.naive_primitives(lifted) <= basis
+    s = oracles.linear(shape)
+    ok, steps = comb.verify(lifted, poly.act(s, oracles.make_generator(g)))
     _cheap(steps)
-    assert ok, (poly.format_sequent(s), str(g))
+    assert ok and steps == leaves, (poly.format_sequent(s), str(g))
 
 
 @criterion(7, "exhaustive small compilation, verified in the minimal club")

@@ -449,7 +449,8 @@ def test_constants_do_not_hide_a_wrong_witness(monkeypatch, capsys):
     # I (I (I C)) B computes x2 (x1 x3), not x1 (x2 x3), in the same 5 steps.
     # With f in both constant slots the two terms agree, but what is verified
     # is the closed witness, before any constant is applied
-    monkeypatch.setattr(compiler, "compile_bracketing", lambda t: comb.parse_comb("I (I (I C)) B"))
+    monkeypatch.setattr(compiler, "witness",
+                        lambda skeleton, chain: (comb.parse_comb("I (I (I C)) B"), 5))
     assert cli.main(["compile", "--constants", "x |- f (f x)"]) == 4
     assert capsys.readouterr() == ("", "error: internal error: verification failed\n")
 

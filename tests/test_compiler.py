@@ -1,4 +1,4 @@
-"""Compilation: bracketing witnesses, generator lifts, and the full pipeline."""
+"""Compilation: the witness builder and the full pipeline."""
 
 import gc
 import itertools
@@ -13,13 +13,11 @@ from hypothesis import given, settings, strategies as st
 import clubcomb
 from clubcomb import cli, comb, finord, poly
 from clubcomb.comb import App, B, C, I, K, W, FreeSym
-from clubcomb.compiler import compile, compile_bracketing, lift
+from clubcomb.compiler import compile, witness
 from clubcomb.errors import (
     ArityMismatch,
-    ArityZero,
     ClubViolation,
     FuelExhausted,
-    IndexOutOfRange,
     VerificationFailed,
 )
 from clubcomb.finord import Club, FinFun
@@ -28,86 +26,64 @@ import oracles
 
 
 def test_compile_bracketing_single_leaf():
-    assert compile_bracketing(Var(1)) == I
+    assert witness(Var(1), ()) == (I, 1)
 
 
 def test_compile_bracketing_pair():
     # witness I B I: reduces on two arguments in 3 steps
-    w = compile_bracketing(App(Var(1), Var(2)))
+    w, leaves = witness(App(Var(1), Var(2)), ())
     assert w == App(App(I, B), I)
-    ok, _ = comb.verify(w, oracles.linear(App(Var(1), Var(2))))
-    assert ok
+    assert comb.verify(w, oracles.linear(App(Var(1), Var(2)))) == (True, leaves)
 
 
 def test_compile_bracketing_right_nested():
-    w = compile_bracketing(App(Var(1), App(Var(2), Var(3))))
+    w, _ = witness(App(Var(1), App(Var(2), Var(3))), ())
     assert w == App(App(B, B), App(App(I, B), I))
-
-
-def test_compile_bracketing_all_shapes_verify_over_b_and_i():
-    for n in range(1, 7):
-        for shape in oracles.all_bracketings(n):
-            w = compile_bracketing(shape)
-            assert oracles.naive_primitives(w) <= {"B", "I"}
-            ok, _ = comb.verify(w, oracles.linear(shape))
-            assert ok
 
 
 def test_compile_bracketing_deterministic():
     shape = App(App(Var(1), Var(2)), App(Var(3), Var(4)))
-    assert compile_bracketing(shape) == compile_bracketing(shape)
+    assert witness(shape, ()) == witness(shape, ())
 
 
 def test_compile_bracketing_matches_the_contraction_reference_on_all_small_shapes():
     for n in range(1, 9):
         for shape in oracles.all_bracketings(n):
-            assert compile_bracketing(shape) == oracles.naive_compile_bracketing(shape)
+            assert witness(shape, ())[0] == oracles.naive_compile_bracketing(shape)
 
 
 @given(st.recursive(st.just(Var(1)), lambda c: st.tuples(c, c).map(lambda lr: App(*lr)),
                     max_leaves=60))
 def test_compile_bracketing_matches_the_contraction_reference(shape):
-    assert compile_bracketing(shape) == oracles.naive_compile_bracketing(shape)
+    assert witness(shape, ())[0] == oracles.naive_compile_bracketing(shape)
 
 
 def test_lift_transposition_structure_and_behavior():
-    a = FreeSym("a")
-    assert lift(a, oracles.t(2, 1)) == App(App(I, C), a)
-    assert lift(B, oracles.t(3, 2)) == App(App(B, C), B)
-    w = lift(compile_bracketing(App(Var(1), Var(2))), oracles.t(2, 1))
-    ok, _ = comb.verify(w, poly.parse("x1,x2 |- x2 x1"))
-    assert ok
+    pair = App(Var(1), Var(2))
+    a, _ = witness(pair, ())
+    w, leaves = witness(pair, (oracles.t(2, 1),))
+    assert w == App(App(I, C), a) == oracles.lift(a, oracles.t(2, 1))
+    assert comb.verify(w, poly.parse("x1,x2 |- x2 x1")) == (True, leaves)
+    right = App(Var(1), App(Var(2), Var(3)))
+    assert witness(right, (oracles.t(3, 2),))[0] == App(App(B, C), witness(right, ())[0])
 
 
 def test_lift_face_structure_and_behavior():
-    assert lift(I, oracles.d(2, 2)) == App(App(B, K), I)
-    ok, _ = comb.verify(lift(I, oracles.d(2, 2)), poly.parse("x1,x2 |- x1"))
-    assert ok
-    assert lift(I, oracles.d(2, 1)) == App(App(I, K), I)
-    ok, _ = comb.verify(lift(I, oracles.d(2, 1)), poly.parse("x1,x2 |- x2"))
-    assert ok
+    w, leaves = witness(Var(1), (oracles.d(2, 2),))
+    assert w == App(App(B, K), I)
+    assert comb.verify(w, poly.parse("x1,x2 |- x1")) == (True, leaves)
+    w, leaves = witness(Var(1), (oracles.d(2, 1),))
+    assert w == App(App(I, K), I)
+    assert comb.verify(w, poly.parse("x1,x2 |- x2")) == (True, leaves)
 
 
 def test_lift_degeneracy_structure_and_behavior():
-    a = FreeSym("a")
-    assert lift(a, oracles.s(2, 2)) == App(App(B, W), a)
-    assert lift(I, oracles.s(1, 1)) == App(App(I, W), I)
-    ok, _ = comb.verify(lift(I, oracles.s(1, 1)), poly.parse("x |- x x"))
-    assert ok
-
-
-def test_lift_index_validation():
-    with pytest.raises(IndexOutOfRange):
-        lift(I, oracles.t(2, 2))
-    with pytest.raises(IndexOutOfRange):
-        lift(I, oracles.d(2, 3))
-    with pytest.raises(IndexOutOfRange):
-        lift(I, oracles.s(2, 0))
-
-
-def test_lift_face_arity_zero():
-    with pytest.raises(ArityZero):
-        lift(I, oracles.d(1, 1))
+    right = App(Var(1), App(Var(2), Var(3)))
+    assert witness(right, (oracles.s(2, 2),))[0] == App(App(B, W), witness(right, ())[0])
+    pair = App(Var(1), Var(2))
+    w, leaves = witness(pair, (oracles.s(1, 1),))
+    assert w == App(App(I, W), App(App(I, B), I))
+    assert comb.verify(w, poly.parse("x |- x x")) == (True, leaves)
 
 
 # Each family's letter, lifting combinator and domain minus n, written out
@@ -128,7 +104,8 @@ def test_generator_families_agree_in_every_consumer():
                 assert (g.dom, f.dom, f.cod) == (n + offset, n + offset, n)
                 assert str(g) == f"{letter}({n},{i})"
                 if g.dom:
-                    assert lift(I, g).left.right is prim
+                    shape = oracles.all_bracketings(g.dom)[0]
+                    assert witness(shape, (g,))[0].left.right is prim
                 for c in Club:
                     if kind in finord.generator_kinds(c):
                         assert finord.contains(c, f)
@@ -137,28 +114,32 @@ def test_generator_families_agree_in_every_consumer():
         assert finord.basis(c) == {"B", "I"} | lifting
 
 
-def test_lifts_match_action_on_all_small_bracketings():
-    # lifting a witness along a generator must compute the acted polynomial
-    for n in range(1, 5):
-        for shape in oracles.all_bracketings(n):
-            s = oracles.linear(shape)
-            a = compile_bracketing(shape)
-            for i in range(1, n):
-                g = oracles.t(n, i)
-                acted = poly.act(s, oracles.make_generator(g))
-                ok, _ = comb.verify(lift(a, g), acted)
-                assert ok
-            for i in range(1, n + 2):
-                g = oracles.d(n + 1, i)
-                acted = poly.act(s, oracles.make_generator(g))
-                ok, _ = comb.verify(lift(a, g), acted)
-                assert ok
-            if n >= 2:
-                for i in range(1, n):
-                    g = oracles.s(n - 1, i)
-                    acted = poly.act(s, oracles.make_generator(g))
-                    ok, _ = comb.verify(lift(a, g), acted)
-                    assert ok
+@st.composite
+def _sequents(draw):
+    """A random sequent: a shape of at most 10 occurrences acted on by a
+    random usage into 1 to k + 2 slots."""
+    shape = draw(st.recursive(st.just(Var(1)), lambda c: st.tuples(c, c).map(lambda lr: App(*lr)),
+                              max_leaves=10))
+    k = oracles.length(shape)
+    n = draw(st.integers(1, k + 2))
+    table = draw(st.lists(st.integers(1, n), min_size=k, max_size=k))
+    return poly.act(oracles.linear(shape), FinFun(k, n, tuple(table)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sequents())
+def test_witness_matches_the_naive_contractions_and_lifts(s):
+    # in every club that holds the usage, the one builder gives the term of
+    # the two-step construction: the skeleton's repeated leftmost
+    # contraction, then one lift per generator
+    dec = poly.usage(s)
+    for club in Club:
+        if not finord.contains(club, dec.usage):
+            continue
+        chain = finord.factor(dec.usage, club)
+        term, leaves = witness(dec.skeleton, chain)
+        assert term == oracles.naive_witness(dec.skeleton, chain)
+        assert leaves == oracles.prim_leaves(term)
 
 
 def test_compile_identity_usage():
@@ -238,7 +219,7 @@ def test_factor_and_compile_refuse_a_chain_recompose_disagrees_with(monkeypatch)
 
 
 def test_compile_reports_the_chain_factor_returned_and_judged(monkeypatch):
-    # Verification does not judge the chain: lift reads only a generator's
+    # Verification does not judge the chain: witness reads only a generator's
     # kind and i, so a factor returning [t(3,1)] for the usage 2->2:[2,1] of
     # "x, y |- y x" gave a term that verified.  Only factor's own check
     # stands between a wrong chain and the report.

@@ -15,7 +15,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clubcomb import comb, finord, poly
+from clubcomb import comb, poly
 from clubcomb.errors import ArityMismatch, ClubViolation, IndexOutOfRange, ParseError
 from clubcomb.finord import (
     Club,
