@@ -14,9 +14,9 @@ The pipeline mirrors the constructive completeness argument:
   4. the finished term is verified by symbolic reduction against the input.
 
 Steps 2 and 3 build the same node, B^k P a, where a contraction is a lift
-of B, so witness builds both in one fold.  Step 3 is sound because [t]a
-then [.]g equals [t](g;a): folding the factor chain in application order
-rebuilds exactly the usage function.
+of B, so plan lists both as (k, P) entries and witness folds them.  Step 3
+is sound because [t]a then [.]g equals [t](g;a): folding the factor chain
+in application order rebuilds exactly the usage function.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import gc
 from collections import namedtuple
 
 from . import comb, finord, poly
-from .comb import App, CombTerm
+from .comb import App, CombTerm, Prim
 from .errors import FuelExhausted, VerificationFailed
 from .finord import Club, Generator, Record
 
@@ -37,7 +37,7 @@ _new = tuple.__new__
 _LIFTING = {kind: getattr(comb, name) for kind, (_, name, _) in finord._FAMILIES.items()}
 
 
-def _pairs(skeleton: poly.PolyTerm, chain: tuple[Generator, ...]):
+def plan(skeleton: poly.PolyTerm, chain: tuple[Generator, ...]) -> tuple[tuple[int, Prim], ...]:
     """The (k, P) of each node B^k P a of the witness, innermost first.
 
     The skeleton comes first.  A single occurrence is I.  Otherwise the
@@ -54,29 +54,28 @@ def _pairs(skeleton: poly.PolyTerm, chain: tuple[Generator, ...]):
     for a face (the new witness discards its i-th argument) and W for a
     degeneracy.
     """
+    entries = []
     stack = [(skeleton, 0)]  # (subtree, right turns from the root)
     while stack:
         node, turns = stack.pop()
         if type(node) is App:
-            yield turns, comb.B
+            entries.append((turns, comb.B))
             stack += ((node.left, turns), (node.right, turns + 1))
-    for kind, _, i in chain:
-        yield i - 1, _LIFTING[kind]
+    return (*entries, *((i - 1, _LIFTING[kind]) for kind, _, i in chain))
 
 
-def witness(skeleton: poly.PolyTerm, chain: tuple[Generator, ...]) -> tuple[CombTerm, int]:
-    """The closed witness of the skeleton acted on by the chain's generators,
-    and its number of primitive leaves.
-
-    Each (k, P) pair wraps the term in B^k P, built with a fresh b_power(k):
-    B^k has max(2k - 1, 1) primitives, so the pair adds 2k of them, or 2
-    when k is 0.
-    """
-    term, leaves = comb.I, 1
-    for k, prim in _pairs(skeleton, chain):
+def witness(plan: tuple[tuple[int, Prim], ...]) -> CombTerm:
+    """I wrapped in B^k P, with a fresh b_power(k), for each (k, P) of plan."""
+    term = comb.I
+    for k, prim in plan:
         term = _new(App, (_new(App, (comb.b_power(k), prim)), term))
-        leaves += 2 * k if k else 2
-    return term, leaves
+    return term
+
+
+def leaves(plan: tuple[tuple[int, Prim], ...]) -> int:
+    """The primitive leaves of witness(plan): B^k has max(2k - 1, 1), so
+    each (k, P) adds 2k of them, or 2 when k is 0."""
+    return 1 + sum(2 * k or 2 for k, _ in plan)
 
 
 class CompileReport(Record, namedtuple("CompileReport", (
@@ -110,9 +109,9 @@ def compile(s: poly.Sequent, club: Club | None = None) -> CompileReport:
     w v1 ... vn on one private symbol per context slot, and compile is its
     only judge: it returns a report only when the check passed, and raises
     VerificationFailed otherwise.  Every primitive of the witness fires
-    exactly once when it is verified, so the count witness returns is the
-    exact reduction budget.  Running out of it, taking any other number
-    of steps, or reaching a normal form other than the input's all fail.
+    exactly once when it is verified, so leaves(plan) is the exact
+    reduction budget.  Running out of it, taking any other number of steps,
+    or reaching a normal form other than the input's all fail.
 
     The cyclic garbage collector is paused while the witness is built and
     verified, and left as it was found on every exit: the witness and the
@@ -128,15 +127,16 @@ def compile(s: poly.Sequent, club: Club | None = None) -> CompileReport:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        term, leaves = witness(skeleton, chain)
+        entries = plan(skeleton, chain)
+        term, budget = witness(entries), leaves(entries)
         try:
-            correct, steps = comb.verify(term, s, leaves)
+            correct, steps = comb.verify(term, s, budget)
         except FuelExhausted as e:
             raise VerificationFailed(
-                f"verification took more steps than the witness's {leaves} primitives") from e
-        if steps != leaves:
+                f"verification took more steps than the witness's {budget} primitives") from e
+        if steps != budget:
             raise VerificationFailed(
-                f"verification took {steps} steps; the witness has {leaves} primitives")
+                f"verification took {steps} steps; the witness has {budget} primitives")
         if not correct:
             raise VerificationFailed("verification failed")
     finally:

@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
-Every error raised on a bad input derives from ClubCombError, so callers can
-catch the whole family at once.  The CLI maps subfamilies to exit codes; an
-internal invariant that fails (such as an ArityMismatch while recomposing a
-generator chain) maps to the internal-error code.
+The CLI pipeline's failures derive from ClubCombError, and the CLI maps its
+subfamilies to exit codes (a failed internal invariant to the internal-error
+code).  A bad argument to a value constructor, normalize or b_power (both in
+comb) is a ValueError; a bad generator index is an IndexOutOfRange.
 """
 
 from __future__ import annotations

@@ -145,7 +145,7 @@ def test_criterion_05_bracketing_witnesses():
     for k in range(1, 7):
         for shape in oracles.all_bracketings(k):
             total += 1
-            witness, _ = compiler.witness(shape, ())
+            witness = compiler.witness(compiler.plan(shape, ()))
             assert oracles.naive_primitives(witness) <= {"B", "I"}
             ok, steps = comb.verify(witness, oracles.linear(shape))
             _cheap(steps)
@@ -157,7 +157,7 @@ def test_criterion_05_bracketing_witnesses():
 def test_criterion_06_lifts_match_action():
     for k in range(1, 5):
         for shape in oracles.all_bracketings(k):
-            witness, _ = compiler.witness(shape, ())
+            witness = compiler.witness(compiler.plan(shape, ()))
             for i in range(1, k):
                 _check_lift(shape, witness, oracles.t(k, i), {"B", "C", "I"})
             for i in range(1, k + 2):
@@ -167,9 +167,10 @@ def test_criterion_06_lifts_match_action():
 
 
 def _check_lift(shape, witness, g, basis):
-    # the one builder's lift of the bracketing witness is the reference
+    # the plan's lift of the bracketing witness is the reference
     # B^(i-1) P witness, and it computes the acted polynomial
-    lifted, leaves = compiler.witness(shape, (g,))
+    plan = compiler.plan(shape, (g,))
+    lifted, leaves = compiler.witness(plan), compiler.leaves(plan)
     assert lifted == oracles.lift(witness, g)
     assert oracles.naive_primitives(lifted) <= basis
     s = oracles.linear(shape)

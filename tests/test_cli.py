@@ -311,6 +311,17 @@ def test_running_out_of_memory_exits_4_with_one_line():
     assert (r.returncode, r.stdout, r.stderr) == (4, b"", b"error: internal error: MemoryError\n")
 
 
+def test_compile_of_a_1000_occurrence_right_comb_fits_in_256_mb():
+    # x1 (x2 (... x1000)): the whole witness comes from the skeleton's
+    # contractions, n^2 - 3n + 5 primitives of them
+    n = 1000
+    text = ",".join(f"x{k}" for k in range(1, n + 1)) + " |- " + "".join(
+        f"x{k} (" for k in range(1, n)) + f"x{n}" + ")" * (n - 1)
+    r = run_cli(["compile", text], timeout=60, preexec_fn=_cap_memory(256))
+    assert (r.returncode, r.stderr) == (0, b"")
+    assert b"steps: 997005" in r.stdout.splitlines()
+
+
 def test_factor_of_a_wide_codomain_takes_linear_time():
     # 199,999 faces, each recomposed at the finger: a rebuild per generator takes hours
     r = run_cli(["factor", "1->200000:[1]"], timeout=60, preexec_fn=_cap_memory(1024))
@@ -449,8 +460,7 @@ def test_constants_do_not_hide_a_wrong_witness(monkeypatch, capsys):
     # I (I (I C)) B computes x2 (x1 x3), not x1 (x2 x3), in the same 5 steps.
     # With f in both constant slots the two terms agree, but what is verified
     # is the closed witness, before any constant is applied
-    monkeypatch.setattr(compiler, "witness",
-                        lambda skeleton, chain: (comb.parse_comb("I (I (I C)) B"), 5))
+    monkeypatch.setattr(compiler, "witness", lambda plan: comb.parse_comb("I (I (I C)) B"))
     assert cli.main(["compile", "--constants", "x |- f (f x)"]) == 4
     assert capsys.readouterr() == ("", "error: internal error: verification failed\n")
 

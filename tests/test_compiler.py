@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import clubcomb
 from clubcomb import cli, comb, finord, poly
 from clubcomb.comb import App, B, C, I, K, W, FreeSym
-from clubcomb.compiler import compile, witness
+from clubcomb.compiler import compile, leaves, plan, witness
 from clubcomb.errors import (
     ArityMismatch,
     ClubViolation,
@@ -25,65 +25,73 @@ from clubcomb.poly import Var
 import oracles
 
 
-def test_compile_bracketing_single_leaf():
-    assert witness(Var(1), ()) == (I, 1)
+def test_plan_of_a_single_leaf_is_empty_and_its_witness_is_I():
+    assert plan(Var(1), ()) == ()
+    assert (witness(()), leaves(())) == (I, 1)
 
 
-def test_compile_bracketing_pair():
+def test_plan_of_a_pair_is_one_contraction():
     # witness I B I: reduces on two arguments in 3 steps
-    w, leaves = witness(App(Var(1), Var(2)), ())
-    assert w == App(App(I, B), I)
-    assert comb.verify(w, oracles.linear(App(Var(1), Var(2)))) == (True, leaves)
+    pair = App(Var(1), Var(2))
+    entries = plan(pair, ())
+    assert entries == ((0, B),) and leaves(entries) == 3
+    assert witness(entries) == App(App(I, B), I)
+    assert comb.verify(witness(entries), oracles.linear(pair)) == (True, 3)
 
 
-def test_compile_bracketing_right_nested():
-    w, _ = witness(App(Var(1), App(Var(2), Var(3))), ())
-    assert w == App(App(B, B), App(App(I, B), I))
+def test_plan_of_a_right_nested_skeleton_reads_its_right_turns():
+    entries = plan(App(Var(1), App(Var(2), Var(3))), ())
+    assert entries == ((0, B), (1, B)) and leaves(entries) == 5
+    assert witness(entries) == App(App(B, B), App(App(I, B), I))
 
 
-def test_compile_bracketing_deterministic():
+def test_plan_is_deterministic():
     shape = App(App(Var(1), Var(2)), App(Var(3), Var(4)))
-    assert witness(shape, ()) == witness(shape, ())
+    assert plan(shape, ()) == plan(shape, ())
 
 
-def test_compile_bracketing_matches_the_contraction_reference_on_all_small_shapes():
+def test_skeleton_witness_matches_the_contraction_reference_on_all_small_shapes():
     for n in range(1, 9):
         for shape in oracles.all_bracketings(n):
-            assert witness(shape, ())[0] == oracles.naive_compile_bracketing(shape)
+            assert witness(plan(shape, ())) == oracles.naive_compile_bracketing(shape)
 
 
 @given(st.recursive(st.just(Var(1)), lambda c: st.tuples(c, c).map(lambda lr: App(*lr)),
                     max_leaves=60))
-def test_compile_bracketing_matches_the_contraction_reference(shape):
-    assert witness(shape, ())[0] == oracles.naive_compile_bracketing(shape)
+def test_skeleton_witness_matches_the_contraction_reference(shape):
+    assert witness(plan(shape, ())) == oracles.naive_compile_bracketing(shape)
 
 
-def test_lift_transposition_structure_and_behavior():
+def test_plan_lifts_a_transposition_through_C():
     pair = App(Var(1), Var(2))
-    a, _ = witness(pair, ())
-    w, leaves = witness(pair, (oracles.t(2, 1),))
-    assert w == App(App(I, C), a) == oracles.lift(a, oracles.t(2, 1))
-    assert comb.verify(w, poly.parse("x1,x2 |- x2 x1")) == (True, leaves)
+    entries = plan(pair, (oracles.t(2, 1),))
+    assert entries == ((0, B), (0, C)) and leaves(entries) == 5
+    a = witness(plan(pair, ()))
+    assert witness(entries) == App(App(I, C), a) == oracles.lift(a, oracles.t(2, 1))
+    assert comb.verify(witness(entries), poly.parse("x1,x2 |- x2 x1")) == (True, 5)
     right = App(Var(1), App(Var(2), Var(3)))
-    assert witness(right, (oracles.t(3, 2),))[0] == App(App(B, C), witness(right, ())[0])
+    assert plan(right, (oracles.t(3, 2),)) == (*plan(right, ()), (1, C))
 
 
-def test_lift_face_structure_and_behavior():
-    w, leaves = witness(Var(1), (oracles.d(2, 2),))
-    assert w == App(App(B, K), I)
-    assert comb.verify(w, poly.parse("x1,x2 |- x1")) == (True, leaves)
-    w, leaves = witness(Var(1), (oracles.d(2, 1),))
-    assert w == App(App(I, K), I)
-    assert comb.verify(w, poly.parse("x1,x2 |- x2")) == (True, leaves)
+def test_plan_lifts_a_face_through_K():
+    entries = plan(Var(1), (oracles.d(2, 2),))
+    assert entries == ((1, K),) and leaves(entries) == 3
+    assert witness(entries) == App(App(B, K), I)
+    assert comb.verify(witness(entries), poly.parse("x1,x2 |- x1")) == (True, 3)
+    entries = plan(Var(1), (oracles.d(2, 1),))
+    assert entries == ((0, K),) and leaves(entries) == 3
+    assert witness(entries) == App(App(I, K), I)
+    assert comb.verify(witness(entries), poly.parse("x1,x2 |- x2")) == (True, 3)
 
 
-def test_lift_degeneracy_structure_and_behavior():
+def test_plan_lifts_a_degeneracy_through_W():
     right = App(Var(1), App(Var(2), Var(3)))
-    assert witness(right, (oracles.s(2, 2),))[0] == App(App(B, W), witness(right, ())[0])
+    assert plan(right, (oracles.s(2, 2),)) == (*plan(right, ()), (1, W))
     pair = App(Var(1), Var(2))
-    w, leaves = witness(pair, (oracles.s(1, 1),))
-    assert w == App(App(I, W), App(App(I, B), I))
-    assert comb.verify(w, poly.parse("x |- x x")) == (True, leaves)
+    entries = plan(pair, (oracles.s(1, 1),))
+    assert entries == ((0, B), (0, W)) and leaves(entries) == 5
+    assert witness(entries) == App(App(I, W), App(App(I, B), I))
+    assert comb.verify(witness(entries), poly.parse("x |- x x")) == (True, 5)
 
 
 # Each family's letter, lifting combinator and domain minus n, written out
@@ -105,7 +113,7 @@ def test_generator_families_agree_in_every_consumer():
                 assert str(g) == f"{letter}({n},{i})"
                 if g.dom:
                     shape = oracles.all_bracketings(g.dom)[0]
-                    assert witness(shape, (g,))[0].left.right is prim
+                    assert witness(plan(shape, (g,))).left.right is prim
                 for c in Club:
                     if kind in finord.generator_kinds(c):
                         assert finord.contains(c, f)
@@ -129,17 +137,17 @@ def _sequents(draw):
 @settings(max_examples=200, deadline=None)
 @given(_sequents())
 def test_witness_matches_the_naive_contractions_and_lifts(s):
-    # in every club that holds the usage, the one builder gives the term of
+    # in every club that holds the usage, the plan's witness is the term of
     # the two-step construction: the skeleton's repeated leftmost
-    # contraction, then one lift per generator
+    # contraction, then one lift per generator; leaves counts its primitives
     dec = poly.usage(s)
     for club in Club:
         if not finord.contains(club, dec.usage):
             continue
         chain = finord.factor(dec.usage, club)
-        term, leaves = witness(dec.skeleton, chain)
-        assert term == oracles.naive_witness(dec.skeleton, chain)
-        assert leaves == oracles.prim_leaves(term)
+        entries = plan(dec.skeleton, chain)
+        assert witness(entries) == oracles.naive_witness(dec.skeleton, chain)
+        assert leaves(entries) == oracles.prim_leaves(witness(entries))
 
 
 def test_compile_identity_usage():
