@@ -5,7 +5,6 @@ import json
 import os
 import pathlib
 import random
-import resource
 import subprocess
 import sys
 
@@ -300,69 +299,6 @@ def test_memory_error_is_one_line_internal_error(json_flag, monkeypatch, capsys)
         assert captured == ("", "error: internal error: MemoryError\n")
 
 
-def _cap_memory(megabytes):
-    return lambda: resource.setrlimit(resource.RLIMIT_AS, (megabytes << 20, megabytes << 20))
-
-
-def test_running_out_of_memory_exits_4_with_one_line():
-    # ten million faces need gigabytes: factor runs out of its 200 MB, and the
-    # report must not need the memory that the failed chain still holds
-    r = run_cli(["factor", "1->10000000:[1]"], timeout=60, preexec_fn=_cap_memory(200))
-    assert (r.returncode, r.stdout, r.stderr) == (4, b"", b"error: internal error: MemoryError\n")
-
-
-def test_compile_of_a_1000_occurrence_right_comb_fits_in_256_mb():
-    # x1 (x2 (... x1000)): the whole witness comes from the skeleton's
-    # contractions, n^2 - 3n + 5 primitives of them
-    n = 1000
-    text = ",".join(f"x{k}" for k in range(1, n + 1)) + " |- " + "".join(
-        f"x{k} (" for k in range(1, n)) + f"x{n}" + ")" * (n - 1)
-    r = run_cli(["compile", text], timeout=60, preexec_fn=_cap_memory(256))
-    assert (r.returncode, r.stderr) == (0, b"")
-    assert b"steps: 997005" in r.stdout.splitlines()
-
-
-def test_factor_of_a_wide_codomain_takes_linear_time():
-    # 199,999 faces, each recomposed at the finger: a rebuild per generator takes hours
-    r = run_cli(["factor", "1->200000:[1]"], timeout=60, preexec_fn=_cap_memory(1024))
-    assert r.returncode == 0 and r.stderr == b""
-    chain = r.stdout.split()
-    assert len(chain) == 199999
-    assert chain[0] == b"d(2,2)" and chain[-1] == b"d(200000,200000)"
-
-
-def _run_child(code, seconds):
-    """Run code in a fresh interpreter under a 1 GB cap; past seconds, TimeoutExpired."""
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=seconds, preexec_fn=_cap_memory(1024))
-
-
-def test_factor_of_a_long_rotation_takes_linear_time():
-    # 29,999 passes of one swap each: full bubble passes take about a minute
-    code = ("from clubcomb import cli\n"
-            "n = 30000\n"
-            "table = ','.join(map(str, [*range(2, n + 1), 1]))\n"
-            "raise SystemExit(cli.main(['factor', f'{n}->{n}:[{table}]']))")
-    r = _run_child(code, 20)
-    assert r.returncode == 0 and r.stderr == ""
-    chain = r.stdout.split()
-    assert len(chain) == 29999
-    assert chain[0] == "t(30000,29999)" and chain[-1] == "t(30000,1)"
-
-
-def test_diagram_of_a_long_reversal_takes_linear_time():
-    # every line crosses every other: painting each cell of each line takes seconds
-    code = ("from clubcomb import cli\n"
-            "n = 10000\n"
-            "table = ','.join(map(str, range(n, 0, -1)))\n"
-            "raise SystemExit(cli.main(['diagram', f'{n}->{n}:[{table}]']))")
-    r = _run_child(code, 5)
-    assert r.returncode == 0 and r.stderr == ""
-    lines = r.stdout.splitlines()
-    assert len(lines) == 19999
-    assert lines[0] == "o\\        o" and lines[9999] == "   XXXXXX"
-
-
 def test_render_diagram_matches_the_cell_painter():
     for f in oracles.universe(5):
         assert cli.render_diagram(f) == oracles.paint_diagram(f), f
@@ -531,14 +467,6 @@ def test_number_past_the_int_digit_limit_is_usage_error(argv, json_flag, capsys)
     message = json.loads(captured.out)["error"] if json_flag else captured.err
     assert "number too long: 5000 digits" in message
     assert "set_int_max_str_digits" not in message
-
-
-def test_club_violation_with_a_huge_codomain_exits_2():
-    # under a 1 GB address-space cap: classifying must not build the codomain
-    r = run_cli(["factor", "--club", "id", "1->1000000000:[1]"], timeout=60,
-                preexec_fn=_cap_memory(1024))
-    assert r.returncode == 2
-    assert r.stderr == b"error: 1->1000000000:[1] is not in Id; its minimal club is Minj\n"
 
 
 def test_factor_defaults_to_minimal_club():
